@@ -148,13 +148,7 @@ pub fn plan(kind: SweepKind) -> SweepPlan {
         }
         SweepKind::ExploreTiny | SweepKind::ExploreFull => {
             let scale = explore_scale(kind).expect("explore kind");
-            SweepPlan {
-                jobs: explore::explore_jobs(scale),
-                run: RunOptions {
-                    sampled: Some(SamplingConfig::default()),
-                    ..RunOptions::default()
-                },
-            }
+            SweepPlan { jobs: explore::explore_jobs(scale), run: explore::run_options(false) }
         }
     }
 }

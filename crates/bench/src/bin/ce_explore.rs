@@ -13,10 +13,11 @@
 //! * `results/pareto.manifest.json` — the content-addressed run manifest
 //!   vouching for both CSVs (see `ce_bench::manifest`).
 //!
-//! The IPC sweep checkpoints next to the output CSV; kill it at any point
-//! and rerun with `--resume` for byte-identical results. On any cell
-//! failure neither CSV is written and the journal is kept, matching every
-//! other sweep binary. The shared observability flags (`--telemetry`,
+//! The IPC sweep stores every settled cell in a result store next to the
+//! output CSV (`pareto.store/`); kill it at any point and rerun with
+//! `--resume` for byte-identical results. On any cell failure neither
+//! CSV is written and the store is kept, matching every other sweep
+//! binary. The shared observability flags (`--telemetry`,
 //! `--trace-out`, `--manifest`, `--progress`, `--quiet`) behave exactly
 //! as in the sweep binaries.
 //!
@@ -28,91 +29,29 @@
 
 use std::process::ExitCode;
 
-use ce_bench::checkpoint::write_atomic;
-use ce_bench::cli::ExploreArgs;
+use ce_bench::cli::{self, ExploreArgs};
 use ce_bench::explore::{
-    explore, explore_jobs, pareto_csv, row_census, tab02_explore_csv, tab02_path,
-    ExploreOptions,
+    explore_jobs, pareto_csv, row_census, run_options, score, tab02_explore_csv, tab02_path,
 };
-use ce_bench::manifest;
 
 fn main() -> ExitCode {
-    let args = ExploreArgs::parse();
+    let ExploreArgs { sweep: args, full, grid } = ExploreArgs::parse();
     let max_insts = ce_bench::max_insts();
-    let jobs = explore_jobs(args.grid);
-    let telemetry = match args.obs.telemetry("ce-explore", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ce-explore: error: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
+    let jobs = explore_jobs(grid);
+    let summary = match args.run_sweep("ce-explore", &jobs, max_insts, run_options(full)) {
+        Ok(summary) => summary,
+        Err(code) => return code,
     };
-    let report = match explore(&ExploreOptions {
-        scale: args.grid,
-        exact: args.full,
-        max_insts,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-    }) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("ce-explore: error: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(summary) = &report.summary {
-        if summary.resumed > 0 && !args.obs.quiet {
-            eprintln!(
-                "ce-explore: resumed {} of {} cells from {}",
-                summary.resumed,
-                summary.cells.len(),
-                args.checkpoint().path.display()
-            );
-        }
-        if !summary.failures.is_empty() {
-            for failure in &summary.failures {
-                eprintln!("ce-explore: error: {failure}");
-            }
-            eprintln!(
-                "ce-explore: {} of {} cells failed; no CSV written, checkpoint kept for --resume",
-                summary.failures.len(),
-                summary.cells.len()
-            );
-            return ExitCode::from(1);
-        }
-    }
-
+    let report = score(grid, full, Some(summary));
+    let summary = report.summary.as_ref().expect("scored from a sweep");
     let tab02_out = tab02_path(&args.out);
-    for (path, csv) in [(&args.out, pareto_csv(&report)), (&tab02_out, tab02_explore_csv(&report))]
-    {
-        if let Err(e) = write_atomic(path, &csv) {
-            eprintln!("ce-explore: error[io]: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !args.obs.quiet {
-            eprintln!("ce-explore: wrote {}", path.display());
-        }
-    }
-    if let Some(summary) = &report.summary {
-        let manifest_out = args.obs.manifest_path(&args.out);
-        if let Err(e) = manifest::write_manifest(
-            &manifest_out,
-            "ce-explore",
-            &report.jobs,
-            max_insts,
-            report.run,
-            summary,
-            &[&args.out, &tab02_out],
-        ) {
-            eprintln!("ce-explore: error[io]: manifest: {e}");
-            return ExitCode::from(2);
-        }
-        if !args.obs.quiet {
-            eprintln!("ce-explore: wrote {}", manifest_out.display());
-        }
-    }
-    if !args.obs.quiet {
+    let files = [
+        (args.out.as_path(), pareto_csv(&report)),
+        (tab02_out.as_path(), tab02_explore_csv(&report)),
+    ];
+    let (jobs, run) = (&report.jobs, report.run);
+    let code = cli::finish_sweep("ce-explore", &args, jobs, max_insts, run, summary, &files);
+    if code == ExitCode::SUCCESS && !args.obs.quiet {
         let (ok, skip_delay, skip_sim) = row_census(&report);
         eprintln!(
             "ce-explore: {} design points × 3 technologies: {ok} scored, \
@@ -121,5 +60,5 @@ fn main() -> ExitCode {
             if report.sampled { "sampled" } else { "exact" }
         );
     }
-    ExitCode::SUCCESS
+    code
 }

@@ -485,7 +485,7 @@ mod unix {
     }
 
     /// The cells each execution of each job settled by simulation,
-    /// proven by checkpoint-write telemetry events.
+    /// proven by store-write telemetry events.
     fn exec_profiles(state: &Path) -> BTreeMap<u64, Vec<BTreeSet<u64>>> {
         let mut jobs: BTreeMap<u64, Vec<BTreeSet<u64>>> = BTreeMap::new();
         let Ok(entries) = std::fs::read_dir(state.join("telemetry")) else {
@@ -507,7 +507,7 @@ mod unix {
             if let Ok(text) = std::fs::read_to_string(&path) {
                 for line in text.lines().skip(1) {
                     let Ok(doc) = Json::parse(line) else { continue };
-                    if doc.at("ev").and_then(Json::as_str) == Some("checkpoint-write") {
+                    if doc.at("ev").and_then(Json::as_str) == Some("store-write") {
                         if let Some(cell) = doc.at("cell").and_then(Json::as_u64) {
                             cells.insert(cell);
                         }

@@ -230,7 +230,7 @@ mod ctl {
                             Some(dir) => {
                                 let path = dir.join(name);
                                 if let Err(e) =
-                                    ce_bench::checkpoint::write_atomic(&path, content)
+                                    ce_bench::journal::write_atomic(&path, content)
                                 {
                                     eprintln!(
                                         "cesimctl: error[io]: writing {}: {e}",

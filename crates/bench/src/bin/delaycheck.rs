@@ -22,7 +22,7 @@
 //! failure (drift, broken shape, or a panic out of a checked path), 2
 //! usage or I/O errors.
 
-use ce_bench::checkpoint::write_atomic;
+use ce_bench::journal::write_atomic;
 use ce_bench::cli::OutArgs;
 use ce_delay::bypass::{BypassDelay, BypassParams};
 use ce_delay::cache::{CacheDelay, CacheParams};

@@ -6,7 +6,7 @@
 //! cargo run --release -p ce-bench --bin fig15_clustered -- [--out PATH] [--resume]
 //! ```
 //!
-//! Runs fault-tolerantly: each cell is journaled as it completes, so a
+//! Runs fault-tolerantly: each cell is stored as it completes, so a
 //! killed run restarted with `--resume` re-simulates only unfinished
 //! cells and writes a byte-identical CSV.
 
@@ -14,7 +14,6 @@ use std::process::ExitCode;
 
 use ce_bench::api::{self, SweepKind};
 use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, SweepOptions};
 use ce_core::analysis::{mean_improvement, MachineSpec, Speedup};
 use ce_delay::{FeatureSize, Technology};
 use ce_workloads::Benchmark;
@@ -27,25 +26,9 @@ fn main() -> ExitCode {
     let plan = api::plan(SweepKind::Fig15);
     let jobs = plan.jobs;
     let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("fig15_clustered", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig15_clustered: error[io]: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: plan.run,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
+    let summary = match args.run_sweep("fig15_clustered", &jobs, max_insts, plan.run) {
         Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("fig15_clustered: error[io]: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
 
     let mut csv = String::new();
@@ -90,5 +73,6 @@ fn main() -> ExitCode {
         );
         println!();
     }
-    finish_sweep("fig15_clustered", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    let files = [(args.out.as_path(), csv)];
+    finish_sweep("fig15_clustered", &args, &jobs, max_insts, plan.run, &summary, &files)
 }

@@ -6,7 +6,7 @@
 //! cargo run --release -p ce-bench --bin make_report [output-dir]
 //! ```
 
-use ce_bench::checkpoint::write_atomic;
+use ce_bench::journal::write_atomic;
 use ce_bench::{delay_csv, runner};
 use ce_core::analysis::{mean_improvement, MachineSpec, Speedup};
 use ce_delay::pipeline::ClockComparison;

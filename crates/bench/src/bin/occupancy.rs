@@ -15,7 +15,7 @@
 //! causes (FU contention, inter-cluster waits, dispatch backpressure,
 //! mispredict recovery) make up the rest.
 //!
-//! Runs fault-tolerantly: each cell is journaled as it completes, so a
+//! Runs fault-tolerantly: each cell is stored as it completes, so a
 //! killed run restarted with `--resume` re-simulates only unfinished
 //! cells and writes a byte-identical CSV.
 
@@ -23,7 +23,6 @@ use std::process::ExitCode;
 
 use ce_bench::api::{self, SweepKind};
 use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, SweepOptions};
 use ce_sim::StallCause;
 use ce_workloads::Benchmark;
 
@@ -35,25 +34,9 @@ fn main() -> ExitCode {
     let plan = api::plan(SweepKind::Occupancy);
     let jobs = plan.jobs;
     let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("occupancy", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("occupancy: error[io]: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: plan.run,
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
+    let summary = match args.run_sweep("occupancy", &jobs, max_insts, plan.run) {
         Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("occupancy: error[io]: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
 
     let mut csv = String::new();
@@ -108,5 +91,6 @@ fn main() -> ExitCode {
         println!("dataflow latency, which no scheduler organization can recover.");
         println!();
     }
-    finish_sweep("occupancy", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    let files = [(args.out.as_path(), csv)];
+    finish_sweep("occupancy", &args, &jobs, max_insts, plan.run, &summary, &files)
 }

@@ -13,7 +13,7 @@
 //! of the accountant. `CE_THREADS` and `CE_MAX_INSTS` apply as
 //! everywhere in `ce-bench`.
 //!
-//! Runs fault-tolerantly: each cell is journaled as it completes, so a
+//! Runs fault-tolerantly: each cell is stored as it completes, so a
 //! killed run restarted with `--resume` re-simulates only unfinished
 //! cells and writes a byte-identical CSV.
 
@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use ce_bench::cli::{finish_sweep, SweepArgs};
-use ce_bench::runner::{self, RunOptions, SweepOptions};
+use ce_bench::runner::{self, RunOptions};
 use ce_sim::{machine, StallCause};
 use ce_workloads::Benchmark;
 
@@ -30,25 +30,10 @@ fn main() -> ExitCode {
     let machines = machine::figure17_machines();
     let jobs = runner::grid(&machines);
     let max_insts = ce_bench::max_insts();
-    let telemetry = match args.obs.telemetry("stallreport", &jobs, max_insts, args.resume) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("stallreport: error: telemetry journal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        run: RunOptions { attribution: true, ..RunOptions::default() },
-        checkpoint: Some(args.checkpoint()),
-        telemetry,
-        ..SweepOptions::default()
-    };
-    let summary = match runner::run_sweep_ft(&jobs, max_insts, &opts) {
+    let run = RunOptions { attribution: true, ..RunOptions::default() };
+    let summary = match args.run_sweep("stallreport", &jobs, max_insts, run) {
         Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("stallreport: error: checkpoint journal: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
 
     let mut csv = String::from("benchmark,machine,cycles,issued,issue_slots,used_pct");
@@ -120,7 +105,8 @@ fn main() -> ExitCode {
         );
         println!();
     }
-    finish_sweep("stallreport", &args, &jobs, max_insts, opts.run, &summary, &csv)
+    let files = [(args.out.as_path(), csv)];
+    finish_sweep("stallreport", &args, &jobs, max_insts, run, &summary, &files)
 }
 
 fn short(name: &str) -> &str {

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Each journal (written by a sweep's `--telemetry PATH`) is parsed with
-//! the same torn-line tolerance as the checkpoint loader, so journals
+//! the torn-tail rule every journal reader shares, so journals
 //! from killed runs report cleanly. A journal is *healthy* when its
 //! sweep ended with every cell completed and none failed.
 //!

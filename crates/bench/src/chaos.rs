@@ -24,17 +24,16 @@
 //!
 //! [`durability_workload`] drives every durability-critical shape the
 //! service owns — an atomic CSV write, a WAL-shaped append-and-fsync
-//! journal, a checkpoint [`Journal`](crate::checkpoint::Journal) cycle,
-//! and content-addressed store inserts — through the fault seam on a
-//! single thread, so the seam's op counter gives a stable *horizon* (the
-//! number of fault-eligible operations). The grid is then exhaustive:
-//! every non-crash fault class × every op index, in-process via
-//! [`crate::iofault::with_plan`]. Crash cases need a process to die, so
+//! journal, and content-addressed store inserts — through the fault
+//! seam on a single thread, so the seam's op counter gives a stable
+//! *horizon* (the number of fault-eligible operations). The grid is then
+//! exhaustive: every non-crash fault class × every op index, in-process
+//! via [`crate::iofault::with_plan`]. Crash cases need a process to die, so
 //! `cechaos` runs the same workload in a subprocess (its `--worker`
 //! mode) with `CE_IOFAULT=crash@K` and classifies the wreckage with
-//! [`classify_crash_case`]. Horizon ≈ 26 ops × 5 classes ⇒ the ≥ 100
-//! seeded cases the acceptance contract asks for, with zero flakiness:
-//! the grid is a pure function of the workload.
+//! [`classify_crash_case`]. Horizon 21 ops × 5 classes ⇒ 105 cases, past
+//! the ≥ 100 seeded cases the acceptance contract asks for, with zero
+//! flakiness: the grid is a pure function of the workload.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,8 +43,8 @@ use std::time::Duration;
 use ce_sim::SimStats;
 
 use crate::api::{JobSpec, SweepKind};
-use crate::checkpoint::{write_atomic, CheckpointSpec, Journal};
 use crate::iofault::{self, FailPlan, FaultClass};
+use crate::journal::write_atomic;
 use crate::runner::TimedResult;
 use crate::store::ResultStore;
 
@@ -193,11 +192,8 @@ pub fn synthetic_result(k: u64) -> TimedResult {
 /// 1. a rendered CSV via [`write_atomic`] (create → write → fsync →
 ///    rename),
 /// 2. a WAL-shaped journal: create, header + records as separate line
-///    writes, one fsync — the `jobs.jsonl` discipline,
-/// 3. a checkpoint [`Journal`] open/record/finish cycle (resuming
-///    whatever a previous faulted pass left behind, exactly like a
-///    restarted sweep), and
-/// 4. three content-addressed store inserts.
+///    writes, one fsync — the `jobs.jsonl` discipline, and
+/// 3. three content-addressed store inserts.
 ///
 /// Deterministic end state: re-running this on *any* prefix of its own
 /// damage must converge to byte-identical files — that is the property
@@ -225,13 +221,6 @@ pub fn durability_workload(dir: &Path) -> std::io::Result<()> {
     }
     iofault::sync(&wal)?;
     drop(wal);
-
-    let ckpt = CheckpointSpec { path: dir.join("ckpt").join("w.ckpt.jsonl"), resume: true };
-    let (mut journal, _recovered) = Journal::open(&ckpt, 0xCE05, 3)?;
-    for cell in 0..3usize {
-        journal.record(cell, &synthetic_result(cell as u64))?;
-    }
-    journal.finish();
 
     let store = ResultStore::open(&dir.join("store"))?;
     for k in 0..3u64 {

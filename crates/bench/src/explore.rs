@@ -37,9 +37,10 @@
 //! ## Fault tolerance
 //!
 //! The IPC half runs through [`run_sweep_ft`], so the explorer inherits
-//! the checkpoint journal (kill it mid-sweep, rerun with `--resume`, get
-//! byte-identical CSVs) and the longest-first parallel runner
-//! (`CE_THREADS` scales it, results never depend on worker count).
+//! the store-backed resume of every CLI sweep (kill `ce-explore`
+//! mid-sweep, rerun with `--resume`, get byte-identical CSVs) and the
+//! longest-first parallel runner (`CE_THREADS` scales it, results never
+//! depend on worker count).
 
 use std::path::PathBuf;
 
@@ -47,9 +48,7 @@ use ce_delay::{DelayError, FeatureSize, MachineClock, MachineParams, SchedulerGe
 use ce_sim::{machine, SamplingConfig, SchedulerKind, SimConfig, SteeringPolicy};
 use ce_workloads::Benchmark;
 
-use crate::checkpoint::CheckpointSpec;
-use crate::runner::{run_sweep_ft, Job, RunOptions, RunPolicy, SweepOptions, SweepSummary};
-use crate::telemetry::Telemetry;
+use crate::runner::{run_sweep_ft, Job, RunOptions, SweepOptions, SweepSummary};
 use std::fmt::Write as _;
 
 /// Which slice of the joint design space to enumerate.
@@ -359,23 +358,6 @@ pub struct ExploreReport {
     pub run: RunOptions,
 }
 
-/// How to run the explorer.
-#[derive(Debug, Clone)]
-pub struct ExploreOptions {
-    /// Grid scale.
-    pub scale: GridScale,
-    /// Use exact full-detail simulation instead of sampled estimation.
-    pub exact: bool,
-    /// Per-benchmark instruction cap (callers pass [`crate::max_insts`]).
-    pub max_insts: u64,
-    /// Checkpoint the IPC sweep here (`None` disables journaling — unit
-    /// tests).
-    pub checkpoint: Option<CheckpointSpec>,
-    /// Engine telemetry sink for the IPC sweep (disabled by default; see
-    /// [`crate::telemetry`]).
-    pub telemetry: Telemetry,
-}
-
 /// The indices of the grid points that become simulation jobs: valid for
 /// the simulator and clockable by at least one technology.
 fn simulated_indices(points: &[DesignPoint]) -> Vec<usize> {
@@ -406,36 +388,24 @@ pub fn explore_jobs(scale: GridScale) -> Vec<Job> {
         .collect()
 }
 
-/// Runs the explorer: enumerate, price the delay side, sweep the IPC
-/// side (through the fault-tolerant runner), score, and mark the
-/// per-technology Pareto frontier.
-///
-/// # Errors
-///
-/// Only checkpoint-journal I/O errors. Simulation failures surface in
-/// `report.summary.failures` (and the caller must then withhold the
-/// CSVs, matching [`crate::cli::finish_sweep`] policy); grid corners the
-/// models refuse are structured skips in `report.rows`, not errors.
-pub fn explore(opts: &ExploreOptions) -> std::io::Result<ExploreReport> {
-    let jobs = explore_jobs(opts.scale);
-    let sampling = (!opts.exact).then(SamplingConfig::default);
-    let run = RunOptions { sampled: sampling, ..RunOptions::default() };
-    let summary = if jobs.is_empty() {
-        None
-    } else {
-        Some(run_sweep_ft(
-            &jobs,
-            opts.max_insts,
-            &SweepOptions {
-                run,
-                policy: RunPolicy::default(),
-                checkpoint: opts.checkpoint.clone(),
-                telemetry: opts.telemetry.clone(),
-                ..SweepOptions::default()
-            },
-        )?)
-    };
-    Ok(score(opts.scale, opts.exact, summary))
+/// The per-cell options of an explorer sweep: sampled unless `exact`.
+pub fn run_options(exact: bool) -> RunOptions {
+    RunOptions { sampled: (!exact).then(SamplingConfig::default), ..RunOptions::default() }
+}
+
+/// Runs the explorer in process, without a result store: enumerate,
+/// price the delay side, sweep the IPC side (through the fault-tolerant
+/// runner, at instruction cap `max_insts`), and [`score`] it. Simulation
+/// failures surface in `report.summary.failures` (and the caller must
+/// then withhold the CSVs, matching [`crate::cli::finish_sweep`] policy);
+/// grid corners the models refuse are structured skips in `report.rows`.
+pub fn explore(scale: GridScale, exact: bool, max_insts: u64) -> ExploreReport {
+    let jobs = explore_jobs(scale);
+    let summary = (!jobs.is_empty()).then(|| {
+        let opts = SweepOptions { run: run_options(exact), ..SweepOptions::default() };
+        run_sweep_ft(&jobs, max_insts, &opts).expect("run_sweep_ft does no I/O of its own")
+    });
+    score(scale, exact, summary)
 }
 
 /// Scores a (possibly absent) sweep summary into the full explorer
@@ -487,8 +457,7 @@ pub fn score(scale: GridScale, exact: bool, summary: Option<SweepSummary>) -> Ex
             benches.iter().map(move |&b| (b, cfg))
         })
         .collect();
-    let sampling = (!exact).then(SamplingConfig::default);
-    let run = RunOptions { sampled: sampling, ..RunOptions::default() };
+    let run = run_options(exact);
 
     // Score: harmonic-mean IPC per simulated point (the paper's Figure 13
     // aggregates the same way — slow kernels must not be averaged away).
@@ -792,14 +761,7 @@ mod tests {
     /// non-dominated, and the CSVs are well-formed.
     #[test]
     fn tiny_explore_scores_skips_and_marks_a_consistent_frontier() {
-        let report = explore(&ExploreOptions {
-            scale: GridScale::Tiny,
-            exact: false,
-            max_insts: 3_000,
-            checkpoint: None,
-            telemetry: Telemetry::default(),
-        })
-        .expect("no journal, no I/O");
+        let report = explore(GridScale::Tiny, false, 3_000);
         assert_eq!(report.rows.len(), 8 * 3, "every point × technology has a row");
         let (ok, skip_delay, skip_sim) = row_census(&report);
         assert_eq!((ok, skip_delay, skip_sim), (18, 3, 3));
@@ -889,16 +851,7 @@ mod tests {
     /// exact).
     #[test]
     fn exact_mode_matches_sampled_mode_at_short_caps() {
-        let run = |exact| {
-            explore(&ExploreOptions {
-                scale: GridScale::Tiny,
-                exact,
-                max_insts: 800,
-                checkpoint: None,
-                telemetry: Telemetry::default(),
-            })
-            .expect("no journal, no I/O")
-        };
+        let run = |exact| explore(GridScale::Tiny, exact, 800);
         let sampled = run(false);
         let exact = run(true);
         assert!(sampled.sampled && !exact.sampled);

@@ -1,11 +1,11 @@
 //! `cesimd --fsck`: the state-directory recovery auditor.
 //!
 //! Every durable file the experiment service writes has a loader that
-//! already knows how to recover it — the WAL tolerates a torn final
-//! line, checkpoint journals drop theirs, the store deletes unparseable
-//! entries. What none of those loaders do is *account* for what they
-//! found: a daemon that silently discards a corrupt journal has honored
-//! the zero-corruption contract but hidden the evidence. `fsck` walks a
+//! already knows how to recover it — the WAL and the telemetry journals
+//! drop a torn final line, the store deletes unparseable entries. What
+//! none of those loaders do is *account* for what they found: a daemon
+//! that silently discards a corrupt journal has honored the
+//! zero-corruption contract but hidden the evidence. `fsck` walks a
 //! state directory and classifies **every** file against the format its
 //! location claims:
 //!
@@ -23,21 +23,24 @@
 //! startup, *before* opening the WAL; `cesimd --fsck` runs it standalone
 //! and exits `0` (clean) or `1` (something was quarantined).
 //!
-//! Scanned formats: `jobs.jsonl` (WAL), `ckpt/*.ckpt.jsonl` (sweep
-//! checkpoints), `telemetry/*.jsonl` (event journals), `store/*.json`
-//! (content-addressed results, embedded key checked against the
-//! filename), and `artifacts/job-*/manifest.json` with every artifact's
-//! size and FNV-64 re-verified against the manifest's record. Files
-//! fsck has no format for (the socket, the quarantine area itself) are
-//! left alone.
+//! Scanned formats: `jobs.jsonl` (WAL), `telemetry/*.jsonl` (event
+//! journals), `store/*.json` (content-addressed results, embedded key
+//! checked against the filename), and `artifacts/job-*/manifest.json`
+//! with every artifact's size and FNV-64 re-verified against the
+//! manifest's record. The two journals are classified by their loaders'
+//! own readers ([`crate::service::scan_wal`],
+//! [`crate::telemetry::HealthReport`]), which share
+//! [`crate::journal::scan`] — so a journal the daemon would load is never
+//! one fsck quarantines, and vice versa. Files fsck has no format for
+//! (the socket, the quarantine area itself) are left alone.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::api::JobSpec;
-use crate::checkpoint::{classify_journal, classify_lines, JournalClass};
+use crate::journal::JournalClass;
 use crate::json::Json;
 use crate::manifest::Fnv64;
+use crate::telemetry::HealthReport;
 
 /// What `fsck` concluded about one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,18 +180,7 @@ pub fn fsck(state_dir: &Path, fix: bool) -> std::io::Result<FsckReport> {
     }
 
     audit_wal(state_dir, fix, &mut report)?;
-    audit_journals(&state_dir.join("ckpt"), state_dir, fix, &mut report, classify_journal)?;
-    audit_journals(&state_dir.join("telemetry"), state_dir, fix, &mut report, |text| {
-        classify_lines(text, |is_header, doc| {
-            if is_header {
-                doc.at("ce_telemetry").and_then(Json::as_u64)
-                    == Some(crate::telemetry::TELEMETRY_VERSION)
-            } else {
-                doc.at("t_us").and_then(Json::as_u64).is_some()
-                    && doc.at("ev").and_then(Json::as_str).is_some()
-            }
-        })
-    })?;
+    audit_telemetry(state_dir, fix, &mut report)?;
     audit_store(state_dir, fix, &mut report)?;
     audit_artifacts(state_dir, fix, &mut report)?;
     Ok(report)
@@ -259,23 +251,29 @@ fn record(
     Ok(())
 }
 
-/// Maps a journal classification onto the report vocabulary.
-fn journal_verdict(class: JournalClass) -> (FileClass, &'static str) {
-    match class {
-        JournalClass::Valid => (FileClass::Valid, ""),
-        JournalClass::TornTail => {
-            (FileClass::TornTail, "torn final line; loader drops it and replays the rest")
-        }
-        JournalClass::Corrupt => {
-            (FileClass::Quarantined, "damage before the final line; cannot be trusted")
-        }
-    }
+/// Records one journal's verdict in the report vocabulary.
+fn record_journal(
+    state_dir: &Path,
+    fix: bool,
+    report: &mut FsckReport,
+    path: &Path,
+    class: JournalClass,
+) -> std::io::Result<()> {
+    let (verdict, detail) = match class {
+        JournalClass::Valid => (FileClass::Valid, String::new()),
+        JournalClass::TornTail => (
+            FileClass::TornTail,
+            "torn final line; loader drops it and replays the rest".into(),
+        ),
+        JournalClass::Corrupt(line) => (
+            FileClass::Quarantined,
+            format!("damage on line {line}, before the final line; cannot be trusted"),
+        ),
+    };
+    record(state_dir, fix, report, path, verdict, &detail)
 }
 
-/// The jobs WAL: header tag plus `submitted`/`done` records. `submitted`
-/// records must carry a spec the daemon could actually replay — a
-/// structurally-JSON line whose spec no longer parses is corruption,
-/// not history.
+/// The jobs WAL, classified by the daemon's own WAL reader.
 fn audit_wal(
     state_dir: &Path,
     fix: bool,
@@ -285,50 +283,19 @@ fn audit_wal(
     let Ok(text) = std::fs::read_to_string(&path) else {
         return Ok(()); // no WAL yet: nothing to audit
     };
-    let class = classify_lines(&text, |is_header, doc| {
-        if is_header {
-            doc.at("ce_jobs_wal").and_then(Json::as_u64) == Some(1)
-        } else {
-            let job = doc.at("job").and_then(Json::as_u64).is_some();
-            match doc.at("state").and_then(Json::as_str) {
-                Some("submitted") => {
-                    job && doc.at("spec").is_some_and(|s| JobSpec::from_json(s).is_ok())
-                }
-                Some("done") => job,
-                _ => false,
-            }
-        }
-    });
-    let (verdict, detail) = journal_verdict(class);
-    record(state_dir, fix, report, &path, verdict, detail)
+    record_journal(state_dir, fix, report, &path, crate::service::scan_wal(&text).0)
 }
 
-/// Line-oriented journals under one directory (`ckpt/`, `telemetry/`),
-/// each classified by the caller's format check.
-fn audit_journals(
-    dir: &Path,
+/// The per-execution telemetry journals, classified by the
+/// `sweephealth` reader.
+fn audit_telemetry(
     state_dir: &Path,
     fix: bool,
     report: &mut FsckReport,
-    classify: impl Fn(&str) -> JournalClass,
 ) -> std::io::Result<()> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Ok(());
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && !is_tempfile(p)
-                && p.extension().is_some_and(|x| x == "jsonl")
-        })
-        .collect();
-    paths.sort();
-    for path in paths {
+    for path in files_with_extension(&state_dir.join("telemetry"), "jsonl") {
         let text = std::fs::read_to_string(&path).unwrap_or_default();
-        let (verdict, detail) = journal_verdict(classify(&text));
-        record(state_dir, fix, report, &path, verdict, detail)?;
+        record_journal(state_dir, fix, report, &path, HealthReport::scan(&text).0)?;
     }
     Ok(())
 }
@@ -341,16 +308,7 @@ fn audit_store(
     fix: bool,
     report: &mut FsckReport,
 ) -> std::io::Result<()> {
-    let Ok(entries) = std::fs::read_dir(state_dir.join("store")) else {
-        return Ok(());
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_file() && !is_tempfile(p) && p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    for path in paths {
+    for path in files_with_extension(&state_dir.join("store"), "json") {
         let key = path.file_stem().and_then(|s| s.to_str()).unwrap_or("").to_owned();
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         match crate::store::validate_entry_text(&text, &key) {
@@ -497,6 +455,15 @@ fn audit_artifact_dir(
     Ok(())
 }
 
+/// [`files_in`] with the given extension.
+fn files_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut paths = files_in(dir);
+    paths.retain(|p| p.extension().is_some_and(|x| x == ext));
+    paths
+}
+
+/// The regular, non-temporary files directly in `dir`, sorted (none when
+/// it does not exist).
 fn files_in(dir: &Path) -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .into_iter()
@@ -516,7 +483,7 @@ mod tests {
     fn state(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ce-fsck-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("ckpt")).unwrap();
+        std::fs::create_dir_all(dir.join("store")).unwrap();
         dir
     }
 
@@ -533,7 +500,7 @@ mod tests {
     #[test]
     fn orphan_tempfiles_are_swept() {
         let dir = state("orphans");
-        let orphan = dir.join("ckpt").join("job-3.csv.tmp.9999");
+        let orphan = dir.join("store").join("00000000000000aa.tmp.9999");
         std::fs::write(&orphan, "half a file").unwrap();
 
         let report = fsck(&dir, false).unwrap();
@@ -579,6 +546,45 @@ mod tests {
         assert!(rendered.contains("error[fsck]"), "quarantine reports loudly: {rendered}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `path` under a fresh state dir in each damage shape and
+    /// checks the loader accepts exactly the files fsck leaves in place.
+    fn assert_loader_and_fsck_agree(path: &str, header: &str, rec: &str, loads: fn(&str) -> bool) {
+        let shapes = [
+            ("an empty file", String::new(), true),
+            ("a torn header", header[..10].to_owned(), true),
+            ("a blank mid line", format!("{header}\n\n{rec}\n"), false),
+            ("a torn tail", format!("{header}\n{rec}\n{}", &rec[..8]), true),
+            ("mid-file corruption", format!("{header}\n{}\n{rec}\n", &rec[..8]), false),
+        ];
+        for (shape, text, accepted) in shapes {
+            let dir = state("agree");
+            let file = dir.join(path);
+            std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+            std::fs::write(&file, &text).unwrap();
+            let audit = fsck(&dir, false).unwrap();
+            assert_eq!(loads(&text), accepted, "{path}: the loader on {shape}");
+            assert_eq!(audit.clean(), accepted, "{path}: fsck on {shape}: {audit}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// One torn-tail rule for both journal formats.
+    #[test]
+    fn loaders_and_fsck_agree_on_every_journal_shape() {
+        assert_loader_and_fsck_agree(
+            "jobs.jsonl",
+            "{\"ce_jobs_wal\": 1, \"next\": 4}",
+            "{\"job\": 3, \"state\": \"done\"}",
+            |text| crate::service::parse_wal(text).is_ok(),
+        );
+        assert_loader_and_fsck_agree(
+            "telemetry/job-1.exec-0.jsonl",
+            "{\"ce_telemetry\": 1, \"name\": \"t\", \"cells\": 1, \"max_insts\": 9}",
+            "{\"t_us\": 5, \"ev\": \"backoff\"}",
+            |text| HealthReport::from_journal(text).is_ok(),
+        );
     }
 
     /// A store entry renamed to another key must be caught even though

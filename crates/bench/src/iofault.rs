@@ -13,10 +13,10 @@
 //! ## The seam
 //!
 //! All fault-eligible paths call the wrappers here instead of `std::fs`
-//! directly: [`crate::checkpoint::write_atomic`] (and through it the
-//! result store, manifests, and rendered CSVs), the checkpoint
-//! [`Journal`](crate::checkpoint::Journal), the service's write-ahead
-//! job journal, and the telemetry JSONL sink. Each wrapper asks
+//! directly: [`crate::journal::write_atomic`] (and through it the
+//! result store, manifests, and rendered CSVs) and
+//! [`crate::journal::append_line`] (the service's write-ahead job
+//! journal and the telemetry JSONL sink). Each wrapper asks
 //! [`tick`] whether the *armed plan* — if any — injects a fault at the
 //! current operation index; when nothing is armed the wrappers are a
 //! single relaxed atomic load away from plain `std::fs` calls.

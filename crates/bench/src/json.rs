@@ -11,8 +11,8 @@
 //! It is a reader for trusted, self-produced files, not a general-purpose
 //! parser: surrogate-pair `\u` escapes are not combined. Non-negative
 //! integer tokens are held losslessly as `u64` ([`Json::Int`]) — the
-//! sweep checkpoint journal round-trips full-width counters through this
-//! reader — while everything else numeric is `f64` ([`Json::Num`]).
+//! result store round-trips full-width counters through this reader —
+//! while everything else numeric is `f64` ([`Json::Num`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -404,8 +404,8 @@ mod tests {
         assert_eq!(items[4].type_name(), "bool");
     }
 
-    /// Counters above 2^53 must survive exactly — the sweep checkpoint
-    /// journal depends on integer round-trips being lossless.
+    /// Counters above 2^53 must survive exactly — the result store
+    /// depends on integer round-trips being lossless.
     #[test]
     fn big_integers_are_exact() {
         let v = Json::parse("[18446744073709551615, 9007199254740993]").expect("parse");

@@ -34,14 +34,16 @@ use std::sync::Arc;
 use ce_workloads::{trace_cached, Benchmark, Trace};
 
 pub mod api;
+#[cfg(unix)]
 pub mod chaos;
-pub mod checkpoint;
 pub mod cli;
 pub mod delay_csv;
 pub mod explore;
 pub mod fault;
+#[cfg(unix)]
 pub mod fsck;
 pub mod iofault;
+pub mod journal;
 pub mod json;
 pub mod manifest;
 pub mod metrics_check;

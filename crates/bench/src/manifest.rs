@@ -12,7 +12,7 @@
 //!    the emulator, or the cap changes the key;
 //! 2. **config fingerprint** per machine — a hash of the full
 //!    [`SimConfig`] debug form (every field participates, the same
-//!    convention the checkpoint sweep id uses);
+//!    convention the [`sweep_id`] uses);
 //! 3. **code version** — `CARGO_PKG_VERSION`, overridable with the
 //!    `CE_CODE_VERSION` environment variable so CI can pin a git SHA.
 //!
@@ -32,14 +32,14 @@ use std::sync::Mutex;
 use ce_sim::SimConfig;
 use ce_workloads::{trace_cached, trace_io::format_trace, Benchmark};
 
-use crate::checkpoint::write_atomic;
+use crate::journal::write_atomic;
 use crate::runner::{Job, RunOptions, SweepSummary};
 
 /// Schema tag of every manifest document this module writes.
 pub const MANIFEST_SCHEMA: &str = "ce-bench.manifest.v1";
 
 /// Incremental FNV-1a (64-bit) — the repo's one hash, shared with the
-/// checkpoint sweep id. `fmt::Write` is implemented so debug forms can be
+/// [`sweep_id`]. `fmt::Write` is implemented so debug forms can be
 /// hashed without materializing the string.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
@@ -114,7 +114,7 @@ pub fn trace_fingerprint(bench: Benchmark, max_insts: u64) -> Result<String, Str
 
 /// Fingerprint of one machine configuration: FNV-1a over the full
 /// [`SimConfig`] debug form (every field participates, like the
-/// checkpoint sweep id).
+/// [`sweep_id`]).
 pub fn config_fingerprint(cfg: &SimConfig) -> String {
     fnv_hex(&format!("{cfg:?}"))
 }
@@ -197,6 +197,19 @@ pub fn cell_key(job: &Job, max_insts: u64, run: RunOptions) -> Result<String, St
     cell_key_with(&code_version(), job, max_insts, run)
 }
 
+/// Identity of a sweep, recorded in its manifest: an FNV-1a hash over
+/// every job's debug form, the instruction cap, and the run options. Two
+/// invocations with the same grid get the same id; any change to the
+/// grid, cap, or options changes it.
+pub fn sweep_id(jobs: &[Job], max_insts: u64, opts: RunOptions) -> u64 {
+    let mut h = Fnv64::default();
+    h.eat(format!("max_insts={max_insts} opts={opts:?}").as_bytes());
+    for job in jobs {
+        h.eat(format!("{job:?}").as_bytes());
+    }
+    h.digest()
+}
+
 /// One result file the manifest vouches for.
 #[derive(Debug, Clone)]
 pub struct Artifact {
@@ -245,7 +258,7 @@ pub fn manifest_json(
 ) -> Result<String, String> {
     let code = code_version();
     let key = cache_key_with(&code, jobs, max_insts, run)?;
-    let sweep = crate::checkpoint::sweep_id(jobs, max_insts, run);
+    let sweep = sweep_id(jobs, max_insts, run);
 
     // Unique benchmarks in first-appearance order, with trace fingerprints.
     let mut benches: Vec<Benchmark> = Vec::new();
@@ -359,8 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_the_checkpoint_convention() {
-        // Same constants as checkpoint::sweep_id: empty input is the
+    fn fnv_matches_the_sweep_id_convention() {
+        // Same constants as sweep_id: empty input is the
         // offset basis; the hex form is 16 lowercase digits.
         assert_eq!(Fnv64::default().digest(), 0xcbf2_9ce4_8422_2325);
         let mut h = Fnv64::default();
@@ -455,5 +468,24 @@ mod tests {
         assert_eq!(a.bytes, 8);
         assert_eq!(a.fnv64, fnv_hex("a,b\n1,2\n"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sweep_id_tracks_grid_cap_and_options() {
+        let jobs: Vec<Job> = vec![(Benchmark::Compress, machine::baseline_8way())];
+        let other: Vec<Job> = vec![(Benchmark::Li, machine::baseline_8way())];
+        let a = sweep_id(&jobs, 1000, RunOptions::default());
+        assert_eq!(a, sweep_id(&jobs, 1000, RunOptions::default()), "stable");
+        assert_ne!(a, sweep_id(&other, 1000, RunOptions::default()));
+        assert_ne!(a, sweep_id(&jobs, 2000, RunOptions::default()));
+        assert_ne!(
+            a,
+            sweep_id(&jobs, 1000, RunOptions { attribution: true, ..RunOptions::default() })
+        );
+        let sampled = RunOptions {
+            sampled: Some(ce_sim::SamplingConfig::default()),
+            ..RunOptions::default()
+        };
+        assert_ne!(a, sweep_id(&jobs, 1000, sampled));
     }
 }

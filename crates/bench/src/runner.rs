@@ -32,8 +32,11 @@
 //! - **Quarantine** — once a job fails deterministically, later cells with
 //!   the *same* `(benchmark, config)` fail fast with the recorded error
 //!   instead of re-running a known-bad input.
-//! - **Checkpoint/resume** — [`run_sweep_ft`] journals each completed cell
-//!   (see [`crate::checkpoint`]) so a killed sweep resumes where it died.
+//! - **Resume** — cells already settled come in as
+//!   [`SweepOptions::prefill`] and fresh ones leave through
+//!   [`SweepOptions::on_cell`]; [`crate::store::ResultStore::back_sweep`]
+//!   wires both to the result store, so a killed sweep resumes where it
+//!   died.
 //!
 //! Worker count comes from the `CE_THREADS` environment variable,
 //! defaulting to [`std::thread::available_parallelism`] — sweeps are
@@ -57,7 +60,6 @@ use ce_sim::{
 };
 use ce_workloads::{trace_cached, Benchmark};
 
-use crate::checkpoint::{sweep_id, CheckpointSpec, Journal};
 use crate::telemetry::{Event, Telemetry, TelemetrySink as _};
 
 /// One unit of simulation work: a benchmark kernel on a machine config.
@@ -79,7 +81,7 @@ pub enum RunError {
     Timeout(String),
     /// The invariant checker found the simulated state inconsistent.
     CheckerViolation(String),
-    /// A checkpoint, journal, or result-store write failed at the disk
+    /// A result-store, journal, or artifact write failed at the disk
     /// layer (disk full, permissions, torn volume). Carries the
     /// [`std::io::ErrorKind`] so callers can distinguish recoverable
     /// conditions without string matching.
@@ -183,7 +185,7 @@ pub struct RunOptions {
     /// [`TimedResult::sampled`]. Sampled cells are not bounded by
     /// [`RunPolicy::cell_timeout`] — the detailed windows they run are a
     /// small fraction of a full run. Changing this (like any option)
-    /// changes the sweep id, so exact and sampled journals never mix.
+    /// changes every cell key, so exact and sampled results never mix.
     pub sampled: Option<SamplingConfig>,
 }
 
@@ -281,10 +283,10 @@ impl fmt::Display for CellFailure {
 }
 
 /// A callback invoked from worker threads as each *freshly simulated*
-/// cell completes (never for cells recovered from a checkpoint or
-/// supplied via [`SweepOptions::prefill`]). The experiment service hangs
-/// its result-store writes off this hook so every finished cell is
-/// durable the moment it exists, independent of the checkpoint journal.
+/// cell completes (never for cells supplied via
+/// [`SweepOptions::prefill`]). Store-backed sweeps hang their
+/// result-store inserts off this hook so every finished cell is durable
+/// the moment it exists.
 #[derive(Clone, Default)]
 pub struct CellHook(pub Option<CellHookFn>);
 
@@ -311,42 +313,36 @@ impl fmt::Debug for CellHook {
     }
 }
 
-/// How [`run_sweep_ft`] should run: per-cell options, failure policy, and
-/// optional checkpointing.
+/// How [`run_sweep_ft`] should run: per-cell options, failure policy,
+/// telemetry, and the cells known before it starts.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Per-cell simulation options.
     pub run: RunOptions,
     /// Failure-handling policy.
     pub policy: RunPolicy,
-    /// Journal completed cells here (and resume from it when its `resume`
-    /// flag is set). `None` disables checkpointing.
-    pub checkpoint: Option<CheckpointSpec>,
     /// Engine telemetry sink (see [`crate::telemetry`]). The default
     /// disabled handle costs one branch per would-be event; enabled
     /// telemetry observes timing only and can never change results.
-    /// Deliberately *not* part of [`RunOptions`]: the sweep id and the
-    /// cache key hash those, and observability must not invalidate
-    /// checkpoints.
+    /// Deliberately *not* part of [`RunOptions`]: the cache keys hash
+    /// those, and observability must not invalidate stored results.
     pub telemetry: Telemetry,
     /// Cells already known from an external source (the content-addressed
     /// result store): `prefill[i] = Some(r)` marks cell `i` as done before
-    /// the sweep starts, exactly like a checkpoint-recovered cell (it
-    /// counts toward [`SweepSummary::resumed`] and emits `CellResumed`).
-    /// Empty (the default) prefills nothing; otherwise the length must
-    /// equal the job count. Checkpoint recovery wins where both supply a
-    /// cell.
+    /// the sweep starts (it counts toward [`SweepSummary::resumed`] and
+    /// emits `CellResumed`). Empty (the default) prefills nothing;
+    /// otherwise the length must equal the job count.
     pub prefill: Vec<Option<TimedResult>>,
     /// Invoked as each freshly simulated cell completes (see
-    /// [`CellHook`]); never called for prefilled or journal-recovered
-    /// cells, so a store writer behind it cannot re-store served entries.
+    /// [`CellHook`]); never called for prefilled cells, so a store writer
+    /// behind it cannot re-store served entries.
     pub on_cell: CellHook,
 }
 
 /// Aggregate result of one sweep, as returned by [`run_sweep_ft`] /
 /// [`run_sweep`]. All durations are wall time of the simulations alone
-/// (trace generation is memoized and excluded); cells recovered from a
-/// checkpoint contribute their journaled wall times.
+/// (trace generation is memoized and excluded); prefilled cells
+/// contribute their stored wall times.
 #[derive(Debug, Clone)]
 pub struct SweepSummary {
     /// Per-cell results, in input order; `None` where the cell failed
@@ -354,8 +350,8 @@ pub struct SweepSummary {
     pub cells: Vec<Option<TimedResult>>,
     /// Every failed cell, in input order. Empty on a fully-clean sweep.
     pub failures: Vec<CellFailure>,
-    /// How many cells were recovered from the checkpoint journal instead
-    /// of being re-simulated.
+    /// How many cells were prefilled (served from the result store)
+    /// instead of being re-simulated.
     pub resumed: usize,
     /// Wall time of the whole parallel sweep.
     pub sweep_wall: Duration,
@@ -584,9 +580,9 @@ struct CellOutcome {
 
 /// The parallel executor behind every public entry point: fans `jobs`
 /// across named worker threads, skipping cells where `skip[i]` (already
-/// recovered from a checkpoint), quarantining known-bad jobs, and calling
-/// `on_done` (under no locks of its own) as each cell completes so the
-/// caller can journal it. Slots for skipped cells come back `None`.
+/// prefilled), quarantining known-bad jobs, and calling `on_done` (under
+/// no locks of its own) as each cell completes so the caller can store
+/// it. Slots for skipped cells come back `None`.
 fn execute<F>(
     jobs: &[Job],
     max_insts: u64,
@@ -727,7 +723,7 @@ pub fn try_run_timed_with(
 /// Runs a sweep with aggregate wall-clock accounting.
 ///
 /// This is the legacy all-or-nothing entry point: it runs under the
-/// default [`RunPolicy`] with no checkpointing and **panics on the first
+/// default [`RunPolicy`] with no prefill and **panics on the first
 /// failed cell**, so on return every slot of `cells` is `Some`. New
 /// callers that want failures reported instead should use
 /// [`run_sweep_ft`].
@@ -742,7 +738,7 @@ pub fn run_sweep(jobs: &[Job], max_insts: u64, opts: RunOptions) -> SweepSummary
         max_insts,
         &SweepOptions { run: opts, ..SweepOptions::default() },
     )
-    .expect("no checkpoint, no I/O to fail");
+    .expect("run_sweep_ft does no I/O of its own");
     if let Some(failure) = summary.failures.first() {
         panic!("{failure}");
     }
@@ -751,16 +747,14 @@ pub fn run_sweep(jobs: &[Job], max_insts: u64, opts: RunOptions) -> SweepSummary
 
 /// Runs a sweep fault-tolerantly: failed cells are classified and
 /// reported in [`SweepSummary::failures`] while the rest of the grid
-/// completes; with [`SweepOptions::checkpoint`] set, completed cells are
-/// journaled as they finish and a resumed invocation re-simulates only
-/// the unfinished ones. The journal is deleted after a fully-successful
-/// sweep (nothing left to resume); on a sweep with failures it is kept so
-/// a fixed rerun with `resume` still skips the good cells.
+/// completes; [`SweepOptions::prefill`]ed cells are not re-simulated, and
+/// every fresh one is handed to [`SweepOptions::on_cell`] as it settles.
 ///
 /// # Errors
 ///
-/// Only checkpoint-journal I/O errors. Simulation failures are *results*
-/// (in `failures`), never `Err`.
+/// None today: simulation failures are *results* (in `failures`), and
+/// durable writes happen in the caller's [`CellHook`], which reports its
+/// own.
 ///
 /// # Panics
 ///
@@ -774,26 +768,12 @@ pub fn run_sweep_ft(
     assert!(!jobs.is_empty(), "run_sweep needs at least one job");
     let start = Instant::now();
 
-    let (journal, mut recovered) = match &opts.checkpoint {
-        Some(spec) => {
-            let id = sweep_id(jobs, max_insts, opts.run);
-            let (journal, recovered) = Journal::open(spec, id, jobs.len())?;
-            (Some(Mutex::new(journal)), recovered)
-        }
-        None => (None, vec![None; jobs.len()]),
+    let recovered = if opts.prefill.is_empty() {
+        vec![None; jobs.len()]
+    } else {
+        assert_eq!(opts.prefill.len(), jobs.len(), "prefill length must match the job count");
+        opts.prefill.clone()
     };
-    if !opts.prefill.is_empty() {
-        assert_eq!(
-            opts.prefill.len(),
-            jobs.len(),
-            "prefill length must match the job count"
-        );
-        for (slot, pre) in recovered.iter_mut().zip(&opts.prefill) {
-            if slot.is_none() {
-                slot.clone_from(pre);
-            }
-        }
-    }
     let resumed = recovered.iter().filter(|c| c.is_some()).count();
     let skip: Vec<bool> = recovered.iter().map(Option::is_some).collect();
 
@@ -815,32 +795,13 @@ pub fn run_sweep_ft(
         }
     }
 
-    let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let outcomes = execute(jobs, max_insts, opts.run, &opts.policy, &skip, tel, |i, result| {
-        opts.on_cell.call(i, result);
-        if let Some(journal) = &journal {
-            let write_start = Instant::now();
-            let appended = journal.lock().expect("journal poisoned").record(i, result);
-            if tel.enabled() {
-                tel.emit(Event::CheckpointWrite {
-                    cell: i,
-                    write_us: u64::try_from(write_start.elapsed().as_micros())
-                        .unwrap_or(u64::MAX),
-                });
-            }
-            if let Err(e) = appended {
-                journal_err.lock().expect("journal error slot").get_or_insert(e);
-            }
-        }
-    });
-    if let Some(e) = journal_err.into_inner().expect("journal error slot") {
-        return Err(e);
-    }
+    let on_done = |i: usize, r: &TimedResult| opts.on_cell.call(i, r);
+    let outcomes = execute(jobs, max_insts, opts.run, &opts.policy, &skip, tel, on_done);
 
     let mut cells = recovered;
     let mut failures = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = outcome else { continue }; // resumed from journal
+        let Some(outcome) = outcome else { continue }; // prefilled
         match outcome.result {
             Ok(result) => cells[i] = Some(result),
             Err(error) => failures.push(CellFailure {
@@ -853,12 +814,6 @@ pub fn run_sweep_ft(
         }
     }
     let sweep_wall = start.elapsed();
-
-    if failures.is_empty() {
-        if let Some(journal) = journal {
-            journal.into_inner().expect("journal poisoned").finish();
-        }
-    }
 
     if tel.enabled() {
         tel.emit(Event::SweepEnd {
@@ -1068,9 +1023,8 @@ mod tests {
         assert!(err.to_string().starts_with("io: "), "{err}");
     }
 
-    /// Prefilled cells behave like checkpoint-recovered ones: they are
-    /// never re-simulated, they count as resumed, and the `on_cell` hook
-    /// fires only for the cells that actually ran.
+    /// Prefilled cells are never re-simulated, they count as resumed,
+    /// and the `on_cell` hook fires only for the cells that actually ran.
     #[test]
     fn prefill_skips_cells_and_on_cell_sees_only_fresh_ones() {
         use ce_sim::machine;

@@ -9,7 +9,6 @@
 //! ```text
 //! <state>/jobs.jsonl                      write-ahead job journal (WAL)
 //! <state>/store/<cell-key>.json           content-addressed cell results
-//! <state>/ckpt/job-<id>.ckpt.jsonl        per-job cell checkpoint journal
 //! <state>/telemetry/job-<id>.exec-<k>.jsonl  one telemetry journal per
 //!                                         *execution* (k bumps on restart)
 //! <state>/artifacts/job-<id>/<name>       rendered CSVs + manifest.json
@@ -22,22 +21,21 @@
 //! 1. **submitted** — appended (and fsynced) to the WAL *before* the
 //!    client sees `accepted`. A `kill -9` after this point cannot lose
 //!    the job.
-//! 2. **running** — cells settle into two idempotent stores as they
-//!    finish: the per-job checkpoint journal (append + flush, torn final
-//!    line tolerated) and the content-addressed result store (atomic
-//!    tempfile + rename per cell). A `kill -9` mid-cell loses at most the
-//!    in-flight cells' partial work.
+//! 2. **running** — cells settle into the content-addressed result store
+//!    as they finish (atomic tempfile + fsync + rename per cell, see
+//!    [`ResultStore::back_sweep`]). A `kill -9` mid-cell loses at most
+//!    the in-flight cells' partial work.
 //! 3. **done** — artifacts written, `done` appended to the WAL.
 //!
 //! On startup the WAL is compacted: `submitted`-without-`done` jobs are
 //! re-enqueued headless (no client connection; results land in the store
 //! and artifact directory as normal), everything else is dropped. A
 //! re-enqueued job re-runs **nothing** that already settled: completed
-//! cells come back from its checkpoint journal and from the result
-//! store, so the replayed execution simulates only the cells that were
-//! actually in flight when the daemon died — and its CSVs are
-//! byte-identical because cell results are deterministic and u64
-//! counters round-trip losslessly through both stores.
+//! cells come back from the result store, so the replayed execution
+//! simulates only the cells that were actually in flight when the daemon
+//! died — and its CSVs are byte-identical because cell results are
+//! deterministic and u64 counters round-trip losslessly through the
+//! store.
 //!
 //! ## Admission control and degradation
 //!
@@ -68,13 +66,11 @@ use std::time::Duration;
 use ce_workloads::trace_cache_stats;
 
 use crate::api::{CellSource, JobEvent, JobOutcome, JobSpec};
-use crate::checkpoint::{write_atomic, CheckpointSpec};
+use crate::journal::{self, write_atomic, JournalClass};
 use crate::json::Json;
-use crate::manifest::{self, cell_key_with};
-use crate::runner::{
-    cell_weights, run_sweep_ft, CellHook, RunPolicy, SweepOptions,
-};
-use crate::store::{Lookup, ResultStore};
+use crate::manifest;
+use crate::runner::{cell_weights, run_sweep_ft, CellHook, RunPolicy, SweepOptions};
+use crate::store::ResultStore;
 use crate::telemetry::{Event, Telemetry, TelemetryConfig, TelemetrySink as _};
 
 /// Daemon configuration (one value per `cesimd` flag).
@@ -82,7 +78,7 @@ use crate::telemetry::{Event, Telemetry, TelemetryConfig, TelemetrySink as _};
 pub struct ServiceConfig {
     /// The Unix socket path to listen on.
     pub socket: PathBuf,
-    /// The state directory (WAL, store, journals, artifacts).
+    /// The state directory (WAL, store, telemetry, artifacts).
     pub state_dir: PathBuf,
     /// Hard admission bound: queued + running jobs ≥ this → reject.
     pub max_pending: usize,
@@ -146,68 +142,55 @@ fn wal_header(next_id: u64) -> String {
     format!("{{\"ce_jobs_wal\": 1, \"next\": {next_id}}}")
 }
 
-/// Parses WAL text into the jobs still pending (submitted without done)
-/// plus the next free job id.
+/// The WAL format's reader, through [`journal::scan`]: the jobs still
+/// pending (submitted without done) plus the next free job id. `fsck`
+/// audits the WAL with this same function.
 ///
 /// Ids must stay monotonic across daemon generations — compaction drops
 /// `done` records, so without a high-water mark a restarted daemon would
 /// reuse ids (and their artifact/telemetry paths). The mark lives in the
-/// header (`next`) and is raised past any id seen in the records.
-///
-/// A torn **final** line — the signature of `kill -9` mid-append — is
-/// dropped silently; the fsync discipline means it can only be the last
-/// record. Corruption anywhere else is a real integrity failure and
-/// discards the whole journal (better to forget jobs loudly than to
-/// replay a mangled one).
+/// header (`next`) and is raised past any id seen in the records. A
+/// `submitted` record must carry a spec the daemon could actually
+/// replay: a JSON line whose spec no longer parses is corruption, not
+/// history.
+pub(crate) fn scan_wal(text: &str) -> (JournalClass, Vec<WalJob>, u64) {
+    let header = |doc: &Json| {
+        (doc.at("ce_jobs_wal").and_then(Json::as_u64) == Some(1))
+            .then(|| (Vec::new(), doc.at("next").and_then(Json::as_u64).unwrap_or(1).max(1)))
+    };
+    let record = |(pending, next_id): &mut (Vec<WalJob>, u64), doc: &Json| {
+        let Some(id) = doc.at("job").and_then(Json::as_u64) else { return false };
+        match doc.at("state").and_then(Json::as_str) {
+            Some("submitted") => {
+                let Some(Ok(spec)) = doc.at("spec").map(JobSpec::from_json) else { return false };
+                let degraded = doc.at("degraded").and_then(Json::as_bool).unwrap_or(false);
+                pending.push(WalJob { id, spec, degraded });
+            }
+            Some("done") => pending.retain(|j| j.id != id),
+            _ => return false,
+        }
+        *next_id = (*next_id).max(id + 1);
+        true
+    };
+    let (class, state) = journal::scan(text, header, record);
+    let (pending, next_id) = state.unwrap_or((Vec::new(), 1));
+    (class, pending, next_id)
+}
+
+/// [`scan_wal`] for the loader: a torn **final** line — the signature of
+/// `kill -9` mid-append — is dropped silently; the fsync discipline means
+/// it can only be the last record. Corruption anywhere else is a real
+/// integrity failure and discards the whole journal (better to forget
+/// jobs loudly than to replay a mangled one).
 ///
 /// # Errors
 ///
-/// A message describing the corruption (caller warns and starts fresh).
+/// A message naming the corrupt line (caller warns and starts fresh).
 pub(crate) fn parse_wal(text: &str) -> Result<(Vec<WalJob>, u64), String> {
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() {
-        return Ok((Vec::new(), 1));
+    match scan_wal(text) {
+        (JournalClass::Corrupt(line), ..) => Err(format!("corrupt WAL record on line {line}")),
+        (_, pending, next_id) => Ok((pending, next_id)),
     }
-    let last = lines.len() - 1;
-    let header = Json::parse(lines[0])
-        .ok()
-        .filter(|doc| doc.at("ce_jobs_wal").and_then(Json::as_u64) == Some(1));
-    let Some(header) = header else {
-        if last == 0 {
-            return Ok((Vec::new(), 1)); // torn header: an empty journal
-        }
-        return Err("bad WAL header".into());
-    };
-    let mut next_id = header.at("next").and_then(Json::as_u64).unwrap_or(1).max(1);
-    let mut pending: Vec<WalJob> = Vec::new();
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let parsed = Json::parse(line).ok().and_then(|doc| {
-            let id = doc.at("job").and_then(Json::as_u64)?;
-            match doc.at("state").and_then(Json::as_str)? {
-                "submitted" => {
-                    let spec = JobSpec::from_json(doc.at("spec")?).ok()?;
-                    let degraded =
-                        doc.at("degraded").and_then(Json::as_bool).unwrap_or(false);
-                    Some((id, Some((spec, degraded))))
-                }
-                "done" => Some((id, None)),
-                _ => None,
-            }
-        });
-        match parsed {
-            Some((id, Some((spec, degraded)))) => {
-                next_id = next_id.max(id + 1);
-                pending.push(WalJob { id, spec, degraded });
-            }
-            Some((id, None)) => {
-                next_id = next_id.max(id + 1);
-                pending.retain(|j| j.id != id);
-            }
-            None if i == last => break, // torn tail from kill -9
-            None => return Err(format!("corrupt WAL record on line {}", i + 1)),
-        }
-    }
-    Ok((pending, next_id))
 }
 
 /// The write-ahead job journal.
@@ -237,11 +220,7 @@ impl Wal {
     }
 
     fn append(&mut self, record: &str) -> std::io::Result<()> {
-        // One complete line per write through the fault seam, so an
-        // injected (or real) torn write leaves the recoverable
-        // torn-final-line shape, never a torn middle.
-        let line = format!("{record}\n");
-        crate::iofault::write_all(&mut self.file, line.as_bytes())?;
+        journal::append_line(&mut self.file, record)?;
         // The WAL is the durability boundary of the `submitted` state:
         // fsync, not just flush, so `accepted` is never sent for a job a
         // power cut could forget. One fsync per job, not per cell.
@@ -316,16 +295,15 @@ struct Shared {
 pub fn run(config: ServiceConfig) -> Result<(), String> {
     // Audit-and-repair before any loader touches the state dir: orphaned
     // tempfiles are swept and corrupt files quarantined (bytes
-    // preserved under <state>/quarantine/), so every file the WAL,
-    // store, and checkpoint loaders then see is one their recovery
-    // rules actually cover.
+    // preserved under <state>/quarantine/), so every file the WAL and
+    // store loaders then see is one their recovery rules actually cover.
     let audit = crate::fsck::fsck(&config.state_dir, true)
         .map_err(|e| format!("startup fsck: {e}"))?;
     if !config.quiet && (!audit.clean() || audit.count(crate::fsck::FileClass::OrphanTemp) > 0)
     {
         eprintln!("{audit}");
     }
-    for sub in ["ckpt", "telemetry", "artifacts"] {
+    for sub in ["telemetry", "artifacts"] {
         std::fs::create_dir_all(config.state_dir.join(sub))
             .map_err(|e| format!("creating state dir: {e}"))?;
     }
@@ -688,59 +666,36 @@ fn process_job(shared: &Shared, job: QueuedJob) {
         Telemetry::disabled()
     });
 
-    // Plan cache service: compute every cell's identity key, serve hits
-    // from the store, and leave misses for the sweep.
-    let mut keys = Vec::with_capacity(plan.jobs.len());
-    let mut prefill = Vec::with_capacity(plan.jobs.len());
-    for (i, cell_job) in plan.jobs.iter().enumerate() {
-        let key = match cell_key_with(&code, cell_job, max_insts, plan.run) {
-            Ok(key) => key,
+    // Cache service: serve every stored cell, and store each fresh one
+    // (atomic per cell) before telling the client it finished.
+    let on_run = {
+        let (sender, id) = (sender.clone(), job.id);
+        CellHook::new(move |i, _| {
+            if let Some(tx) = &sender {
+                let _ = tx.send(JobEvent::Cell { job: id, cell: i, source: CellSource::Run });
+            }
+        })
+    };
+    let backed =
+        match shared.store.back_sweep(&code, &plan.jobs, max_insts, plan.run, &telemetry, on_run) {
+            Ok(backed) => backed,
             Err(e) => {
-                send(JobEvent::Error { kind: "io".into(), message: format!("cell {i}: {e}") });
+                send(JobEvent::Error { kind: "io".into(), message: e });
                 let _ = shared.wal.lock().expect("wal").append(&done_record(job.id));
                 return;
             }
         };
-        match shared.store.lookup(&key, &code) {
-            Lookup::Hit(result) => {
-                telemetry.emit(Event::CacheHit { cell: i });
-                send(JobEvent::Cell { job: job.id, cell: i, source: CellSource::Cache });
-                prefill.push(Some(*result));
-            }
-            Lookup::Miss | Lookup::Stale => {
-                telemetry.emit(Event::CacheMiss { cell: i });
-                prefill.push(None);
-            }
+    for (i, cell) in backed.prefill.iter().enumerate() {
+        if cell.is_some() {
+            telemetry.emit(Event::CacheHit { cell: i });
+            send(JobEvent::Cell { job: job.id, cell: i, source: CellSource::Cache });
+        } else {
+            telemetry.emit(Event::CacheMiss { cell: i });
         }
-        keys.push(key);
     }
-    let cache_hits = prefill.iter().flatten().count();
-    let cache_misses = prefill.len() - cache_hits;
-
-    // Freshly simulated cells flow into the store (atomic per cell) and
-    // to the client the moment they finish.
-    let io_error: Arc<Mutex<Option<String>>> = Arc::default();
-    let hook = {
-        let store = Arc::clone(&shared.store);
-        let keys = keys.clone();
-        let code = code.clone();
-        let io_error = Arc::clone(&io_error);
-        // Sender is !Sync; the hook runs on every worker thread.
-        let sender = sender.clone().map(Mutex::new);
-        let id = job.id;
-        CellHook::new(move |i, result| {
-            if let Err(e) = store.insert(&keys[i], &code, result) {
-                let mut slot = io_error.lock().expect("io error slot");
-                slot.get_or_insert_with(|| format!("storing cell {i}: {e}"));
-            }
-            if let Some(tx) = &sender {
-                let _ = tx
-                    .lock()
-                    .expect("event sender")
-                    .send(JobEvent::Cell { job: id, cell: i, source: CellSource::Run });
-            }
-        })
-    };
+    let cache_hits = backed.prefill.iter().flatten().count();
+    let cache_misses = backed.prefill.len() - cache_hits;
+    let io_error = backed.insert_error;
 
     let opts = SweepOptions {
         run: plan.run,
@@ -748,24 +703,16 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             cell_timeout: job.spec.deadline_ms.map(Duration::from_millis),
             ..RunPolicy::default()
         },
-        // The cell checkpoint journal survives kill -9 and feeds the
-        // replayed execution; `resume: true` is unconditional because a
-        // fresh job simply has no journal yet.
-        checkpoint: Some(CheckpointSpec::for_output(
-            &state_dir.join("ckpt").join(format!("job-{}.csv", job.id)),
-            true,
-        )),
         telemetry: telemetry.clone(),
-        prefill,
-        on_cell: hook,
+        prefill: backed.prefill,
+        on_cell: backed.on_cell,
     };
     let evictions_before = trace_cache_stats().evictions;
     let summary = match run_sweep_ft(&plan.jobs, max_insts, &opts) {
         Ok(summary) => summary,
         Err(e) => {
-            // Checkpoint-journal I/O failure: the job is NOT marked done,
-            // so a restart (or the next daemon) retries it.
-            send(JobEvent::Error { kind: "io".into(), message: format!("checkpoint: {e}") });
+            // Not marked done, so a restart (or the next daemon) retries it.
+            send(JobEvent::Error { kind: "io".into(), message: format!("sweep: {e}") });
             return;
         }
     };

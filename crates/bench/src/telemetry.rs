@@ -8,15 +8,15 @@
 //! [`run_sweep_ft`](crate::runner::run_sweep_ft) and emits one
 //! [`Event`] per state transition of every cell: dispatch (queue wait is
 //! the gap from sweep begin to first attempt), attempt start/end, retry
-//! backoff, quarantine, checkpoint-journal append, and sweep begin/end.
+//! backoff, quarantine, result-store write, and sweep begin/end.
 //!
 //! Three consumers share the one event stream, each optional:
 //!
-//! * **JSONL journal** — one event per line, appended and flushed as it
-//!   happens (the same torn-tail discipline as the checkpoint journal:
-//!   a `kill -9` loses at most the line in flight, and
-//!   [`HealthReport::from_journal`] tolerates exactly that). The
-//!   `sweephealth` binary aggregates these into a health report.
+//! * **JSONL journal** — one event per line, appended as it happens
+//!   under [`crate::journal`]'s torn-tail rule: a `kill -9` loses at most
+//!   the line in flight, and [`HealthReport::from_journal`] tolerates
+//!   exactly that. The `sweephealth` binary aggregates these into a
+//!   health report.
 //! * **Live progress line** — a single self-overwriting stderr line with
 //!   percent done and an ETA weighted by
 //!   [`schedule_order`](crate::runner::schedule_order)'s per-cell cost
@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use ce_workloads::Benchmark;
 
-use crate::checkpoint::write_atomic;
+use crate::journal::{self, write_atomic, JournalClass};
 use crate::json::Json;
 
 /// The telemetry journal's header tag (first line of the JSONL file).
@@ -52,23 +52,23 @@ pub const TELEMETRY_VERSION: u64 = 1;
 /// event is self-contained so journal lines never need joining to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// The sweep is about to dispatch work (after checkpoint recovery).
+    /// The sweep is about to dispatch work (after the store prefill).
     SweepBegin {
         /// Total cells in the sweep.
         cells: usize,
         /// Worker threads about to run.
         threads: usize,
-        /// Cells recovered from the checkpoint journal.
+        /// Cells served from the result store.
         resumed: usize,
         /// Per-benchmark instruction cap.
         max_insts: u64,
     },
-    /// A cell was recovered from the checkpoint journal instead of run;
-    /// `wall_us` is its journaled simulation wall time.
+    /// A cell was served from the result store instead of run; `wall_us`
+    /// is its stored simulation wall time.
     CellResumed {
         /// Input-order cell index.
         cell: usize,
-        /// Journaled wall time of the original run, µs.
+        /// Stored wall time of the original run, µs.
         wall_us: u64,
     },
     /// A worker started one attempt of a cell. The gap between
@@ -123,11 +123,13 @@ pub enum Event {
         /// The cell whose failure poisoned this job.
         first: usize,
     },
-    /// One checkpoint-journal append (the fsync-ish flush included).
-    CheckpointWrite {
-        /// Input-order cell index journaled.
+    /// A freshly simulated cell was inserted into the result store.
+    /// Emitted only after the insert succeeded, so it means the cell is
+    /// durably settled.
+    StoreWrite {
+        /// Input-order cell index stored.
         cell: usize,
-        /// Wall time of the append + flush, µs.
+        /// Wall time of the atomic insert (fsync included), µs.
         write_us: u64,
     },
     /// The sweep finished (success or not); the sink flushes, clears the
@@ -172,7 +174,7 @@ impl Event {
             Event::AttemptEnd { .. } => "attempt-end",
             Event::Backoff { .. } => "backoff",
             Event::Quarantined { .. } => "quarantined",
-            Event::CheckpointWrite { .. } => "checkpoint-write",
+            Event::StoreWrite { .. } => "store-write",
             Event::SweepEnd { .. } => "sweep-end",
             Event::CacheHit { .. } => "cache-hit",
             Event::CacheMiss { .. } => "cache-miss",
@@ -327,12 +329,9 @@ impl Inner {
         if let Some(journal) = &self.journal {
             // Telemetry I/O failures must never fail a sweep: swallow
             // them (the journal simply ends early or loses one line,
-            // which every reader already tolerates). One complete line
-            // per write through the fault seam, so even an injected torn
-            // write leaves the recoverable torn-line shape.
+            // which every reader already tolerates).
             if let Ok(mut w) = journal.lock() {
-                let line = format!("{}\n", event_json(t_us, &ev));
-                let _ = crate::iofault::write_all(&mut w, line.as_bytes());
+                let _ = journal::append_line(&mut w, &event_json(t_us, &ev));
             }
         }
         if let Some(recorder) = &self.recorder {
@@ -390,7 +389,7 @@ fn event_json(t_us: u64, ev: &Event) -> String {
         Event::Quarantined { cell, worker, first } => {
             format!("\"cell\": {cell}, \"worker\": {worker}, \"first\": {first}")
         }
-        Event::CheckpointWrite { cell, write_us } => {
+        Event::StoreWrite { cell, write_us } => {
             format!("\"cell\": {cell}, \"write_us\": {write_us}")
         }
         Event::SweepEnd { ok, failed, wall_us } => {
@@ -478,7 +477,7 @@ impl Progress {
 }
 
 /// Synthetic Chrome-trace lane ids for non-worker activity.
-const CHECKPOINT_TID: u64 = 1_000;
+const STORE_TID: u64 = 1_000;
 const RESUMED_TID: u64 = 1_001;
 const CACHE_TID: u64 = 1_002;
 
@@ -486,8 +485,8 @@ const CACHE_TID: u64 = 1_002;
 /// `{"traceEvents": [...]}` object format Perfetto and `chrome://tracing`
 /// load directly). One lane per worker thread, named `ce-cell-N` to match
 /// the real thread names; attempts are complete (`X`) spans, retries and
-/// quarantines instant (`i`) markers, checkpoint appends and resumed
-/// cells their own lanes.
+/// quarantines instant (`i`) markers, store writes and resumed cells
+/// their own lanes.
 fn chrome_trace_json(name: &str, events: &[(u64, Event)]) -> String {
     let mut out: Vec<String> = Vec::new();
     out.push(format!(
@@ -513,12 +512,12 @@ fn chrome_trace_json(name: &str, events: &[(u64, Event)]) -> String {
         ));
     }
     for (tid, label) in [
-        (CHECKPOINT_TID, "checkpoint"),
+        (STORE_TID, "result-store"),
         (RESUMED_TID, "resumed"),
         (CACHE_TID, "result-cache"),
     ] {
         if events.iter().any(|(_, ev)| match ev {
-            Event::CheckpointWrite { .. } => tid == CHECKPOINT_TID,
+            Event::StoreWrite { .. } => tid == STORE_TID,
             Event::CellResumed { .. } => tid == RESUMED_TID,
             Event::CacheHit { .. } | Event::CacheMiss { .. } | Event::TraceEvicted { .. } => {
                 tid == CACHE_TID
@@ -571,10 +570,10 @@ fn chrome_trace_json(name: &str, events: &[(u64, Event)]) -> String {
                  \"s\": \"t\", \"name\": \"quarantined cell {cell}\", \
                  \"args\": {{\"first\": {first}}}}}"
             )),
-            Event::CheckpointWrite { cell, write_us } => out.push(format!(
-                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {CHECKPOINT_TID}, \
-                 \"ts\": {}, \"dur\": {write_us}, \"name\": \"journal cell {cell}\", \
-                 \"cat\": \"checkpoint\", \"args\": {{}}}}",
+            Event::StoreWrite { cell, write_us } => out.push(format!(
+                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {STORE_TID}, \
+                 \"ts\": {}, \"dur\": {write_us}, \"name\": \"store cell {cell}\", \
+                 \"cat\": \"store\", \"args\": {{}}}}",
                 t_us.saturating_sub(write_us)
             )),
             Event::CellResumed { cell, wall_us } => out.push(format!(
@@ -620,7 +619,7 @@ pub struct HealthReport {
     pub completed: usize,
     /// Cells that settled in failure (quarantines included).
     pub failed: usize,
-    /// Cells recovered from the checkpoint journal.
+    /// Cells served from the result store.
     pub resumed: usize,
     /// Retry sleeps taken (one per `backoff` event).
     pub retries: usize,
@@ -629,15 +628,15 @@ pub struct HealthReport {
     /// Failed attempts by `RunError` category.
     pub errors_by_category: BTreeMap<String, usize>,
     /// `(cell, wall_us)` of every completed cell, journal order. Resumed
-    /// cells carry their journaled wall, so a killed-and-resumed sweep
+    /// cells carry their stored wall, so a killed-and-resumed sweep
     /// reports the same per-cell costs as an uninterrupted one.
     pub cell_walls_us: Vec<(usize, u64)>,
     /// Attempt wall time by worker (busy time, µs).
     pub worker_busy_us: BTreeMap<usize, u64>,
-    /// Checkpoint-journal appends observed.
-    pub ckpt_writes: usize,
-    /// Total checkpoint append wall, µs.
-    pub ckpt_write_us: u64,
+    /// Result-store inserts observed (`store-write` events).
+    pub store_writes: usize,
+    /// Total store insert wall, µs.
+    pub store_write_us: u64,
     /// Sweep wall from `sweep-end` (else the last event timestamp), µs.
     pub sweep_wall_us: u64,
     /// Whether a `sweep-end` event was seen (false = killed mid-sweep).
@@ -651,50 +650,57 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Parses a telemetry journal. A torn final line (the `kill -9`
-    /// signature) is tolerated and dropped, exactly like the checkpoint
-    /// journal loader; corruption anywhere else is an error — a health
+    /// Parses a telemetry journal under [`journal::scan`]'s torn-tail
+    /// rule: a torn final line (the `kill -9` signature) is dropped — an
+    /// empty file or a lone torn header reads as an empty, unended
+    /// report — while damage anywhere else is an error, because a health
     /// report from bytes we cannot trust would mislead.
     ///
     /// # Errors
     ///
-    /// A message naming the malformed line.
+    /// A message naming the first malformed line.
     pub fn from_journal(text: &str) -> Result<HealthReport, String> {
-        let mut lines = text.lines().enumerate().peekable();
-        let (_, header) = lines.next().ok_or("empty journal")?;
-        let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
-        if header.at("ce_telemetry").and_then(Json::as_u64) != Some(TELEMETRY_VERSION) {
-            return Err("not a ce_telemetry v1 journal".into());
+        match HealthReport::scan(text) {
+            (JournalClass::Corrupt(line), _) => Err(format!("line {line}: malformed event")),
+            (_, report) => Ok(report),
         }
-        let mut report = HealthReport {
-            name: header.at("name").and_then(Json::as_str).unwrap_or("?").to_owned(),
-            cells: header.at("cells").and_then(Json::as_u64).unwrap_or(0) as usize,
-            max_insts: header.at("max_insts").and_then(Json::as_u64).unwrap_or(0),
-            ..HealthReport::default()
+    }
+
+    /// The telemetry format's reader: header and event parsers run
+    /// through [`journal::scan`]. `fsck` audits telemetry journals with
+    /// this same function, so the two can never disagree.
+    pub(crate) fn scan(text: &str) -> (JournalClass, HealthReport) {
+        let header = |doc: &Json| {
+            (doc.at("ce_telemetry").and_then(Json::as_u64) == Some(TELEMETRY_VERSION)).then(|| {
+                HealthReport {
+                    name: doc.at("name").and_then(Json::as_str).unwrap_or("?").to_owned(),
+                    cells: doc.at("cells").and_then(Json::as_u64).unwrap_or(0) as usize,
+                    max_insts: doc.at("max_insts").and_then(Json::as_u64).unwrap_or(0),
+                    ..HealthReport::default()
+                }
+            })
         };
         let mut last_t_us = 0;
-        while let Some((lineno, line)) = lines.next() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_event_line(line) {
-                Some((t_us, doc)) => {
+        let (class, report) = journal::scan(text, header, |report, doc| {
+            match doc.at("t_us").and_then(Json::as_u64) {
+                Some(t_us) if report.absorb(t_us, doc) => {
                     last_t_us = t_us;
-                    report.absorb(t_us, &doc)?;
+                    true
                 }
-                None if lines.peek().is_none() => break, // torn final line
-                None => return Err(format!("line {}: malformed event", lineno + 1)),
+                _ => false,
             }
-        }
+        });
+        let mut report = report.unwrap_or_default();
         if !report.ended {
             report.sweep_wall_us = last_t_us;
         }
-        Ok(report)
+        (class, report)
     }
 
-    /// Folds one parsed event line into the running aggregates.
-    fn absorb(&mut self, t_us: u64, doc: &Json) -> Result<(), String> {
-        let ev = doc.at("ev").and_then(Json::as_str).ok_or("event without `ev`")?;
+    /// Folds one event line into the running aggregates; `false` for a
+    /// line that is not a well-formed event.
+    fn absorb(&mut self, t_us: u64, doc: &Json) -> bool {
+        let Some(ev) = doc.at("ev").and_then(Json::as_str) else { return false };
         let num = |key: &str| doc.at(key).and_then(Json::as_u64);
         match ev {
             "sweep-begin" => {
@@ -729,9 +735,9 @@ impl HealthReport {
                 self.quarantined += 1;
                 self.failed += 1;
             }
-            "checkpoint-write" => {
-                self.ckpt_writes += 1;
-                self.ckpt_write_us += num("write_us").unwrap_or(0);
+            "store-write" => {
+                self.store_writes += 1;
+                self.store_write_us += num("write_us").unwrap_or(0);
             }
             "sweep-end" => {
                 self.ended = true;
@@ -740,9 +746,9 @@ impl HealthReport {
             "cache-hit" => self.cache_hits += 1,
             "cache-miss" => self.cache_misses += 1,
             "trace-evicted" => self.trace_evictions += num("count").unwrap_or(0),
-            other => return Err(format!("unknown event `{other}`")),
+            _ => return false,
         }
-        Ok(())
+        true
     }
 
     /// Completed cells per wall-clock second.
@@ -819,13 +825,13 @@ impl HealthReport {
             self.utilization() * 100.0,
             self.cells_per_sec(),
         );
-        if self.ckpt_writes > 0 {
+        if self.store_writes > 0 {
             let _ = writeln!(
                 out,
-                "checkpoint: {} appends, {:.1} ms total ({:.0} µs mean)",
-                self.ckpt_writes,
-                self.ckpt_write_us as f64 / 1e3,
-                self.ckpt_write_us as f64 / self.ckpt_writes as f64,
+                "result store: {} writes, {:.1} ms total ({:.0} µs mean)",
+                self.store_writes,
+                self.store_write_us as f64 / 1e3,
+                self.store_write_us as f64 / self.store_writes as f64,
             );
         }
         if self.cache_hits + self.cache_misses > 0 {
@@ -853,15 +859,6 @@ impl HealthReport {
         }
         out
     }
-}
-
-/// Parses one journal event line into `(t_us, doc)`; `None` when torn or
-/// malformed.
-fn parse_event_line(line: &str) -> Option<(u64, Json)> {
-    let doc = Json::parse(line).ok()?;
-    let t_us = doc.at("t_us")?.as_u64()?;
-    doc.at("ev")?.as_str()?;
-    Some((t_us, doc))
 }
 
 #[cfg(test)]
@@ -926,7 +923,7 @@ mod tests {
                     last: true,
                 },
             ),
-            (905, Event::CheckpointWrite { cell: 1, write_us: 4 }),
+            (905, Event::StoreWrite { cell: 1, write_us: 4 }),
             (950, Event::Quarantined { cell: 2, worker: 1, first: 1 }),
             (1000, Event::SweepEnd { ok: 2, failed: 1, wall_us: 1000 }),
         ]
@@ -946,8 +943,8 @@ mod tests {
         assert_eq!(report.retries, 1);
         assert_eq!(report.quarantined, 1);
         assert_eq!(report.errors_by_category.get("timeout"), Some(&1));
-        assert_eq!(report.ckpt_writes, 1);
-        assert_eq!(report.ckpt_write_us, 4);
+        assert_eq!(report.store_writes, 1);
+        assert_eq!(report.store_write_us, 4);
         assert_eq!(report.sweep_wall_us, 1000);
         assert!(report.ended);
         assert!(!report.healthy(), "a failed cell is unhealthy");
@@ -987,8 +984,9 @@ mod tests {
         assert!(!rendered.contains("trace cache"), "{rendered}");
     }
 
-    /// The journal reader shares the checkpoint loader's semantics: a torn
-    /// final line is dropped, corruption anywhere else is an error.
+    /// The journal reader follows the shared torn-tail rule: a torn final
+    /// line is dropped (a file torn inside its header reads as empty),
+    /// corruption anywhere else is an error.
     #[test]
     fn torn_final_line_tolerated_corruption_elsewhere_rejected() {
         let full = journal_of(&sample_events());
@@ -1002,8 +1000,11 @@ mod tests {
         let corrupt = lines.join("\n") + "\n";
         assert!(HealthReport::from_journal(&corrupt).is_err());
 
-        assert!(HealthReport::from_journal("").is_err());
-        assert!(HealthReport::from_journal("{\"other\": 1}\n").is_err());
+        let empty = HealthReport::from_journal("").unwrap();
+        assert!(!empty.ended && !empty.healthy());
+        assert_eq!(HealthReport::from_journal("{\"ce_tele").unwrap().cells, 0);
+        let wrong_header = "{\"other\": 1}\n{\"t_us\": 1, \"ev\": \"backoff\"}\n";
+        assert!(HealthReport::from_journal(wrong_header).is_err());
     }
 
     /// A journal without `sweep-end` (killed) still reports, timing the
@@ -1029,7 +1030,7 @@ mod tests {
             .iter()
             .filter(|e| e.at("ph").and_then(Json::as_str) == Some("X"))
             .collect();
-        // Two attempt spans + one checkpoint append.
+        // Two attempt spans + one store write.
         assert_eq!(spans.len(), 3);
         let cell_span = spans
             .iter()

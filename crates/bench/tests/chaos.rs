@@ -115,7 +115,7 @@ fn wait_drained(socket: &Path) {
     }
 }
 
-/// Cells settled by simulation (checkpoint-write events) and cache
+/// Cells settled by simulation (store-write events) and cache
 /// hits, per telemetry journal.
 fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
     let text = std::fs::read_to_string(journal)
@@ -125,7 +125,7 @@ fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
     for line in text.lines().skip(1) {
         let Ok(doc) = Json::parse(line) else { continue };
         match doc.at("ev").and_then(Json::as_str) {
-            Some("checkpoint-write") => {
+            Some("store-write") => {
                 written.insert(doc.at("cell").and_then(Json::as_u64).expect("cell"));
             }
             Some("cache-hit") => hits += 1,

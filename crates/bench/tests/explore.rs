@@ -32,6 +32,13 @@ fn tab02_of(out: &Path) -> PathBuf {
     out.with_file_name("tab02_explore.csv")
 }
 
+/// Entries in a result-store directory, without creating it.
+fn stored_cells(store: &Path) -> usize {
+    std::fs::read_dir(store).map_or(0, |dir| {
+        dir.flatten().filter(|e| e.path().extension().is_some_and(|x| x == "json")).count()
+    })
+}
+
 /// Splits a CSV body into its data rows (header dropped).
 fn rows(csv: &str) -> Vec<Vec<String>> {
     csv.trim_end()
@@ -167,29 +174,23 @@ fn sigkill_then_resume_reproduces_both_csvs_byte_for_byte() {
     let ref_pareto = std::fs::read(&reference).expect("reference pareto");
     let ref_tab02 = std::fs::read(tab02_of(&reference)).expect("reference tab02");
 
-    // Interrupted run: SIGKILL once the journal holds a record but
-    // before the CSVs land.
-    let ckpt = dir.join("killed").join("pareto.ckpt.jsonl");
+    // Interrupted run: SIGKILL once the store holds a cell but before
+    // the CSVs land.
+    let store = dir.join("killed").join("pareto.store");
     let mut child = explore_cmd(&killed, "1").spawn().expect("spawns");
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    loop {
-        let cells_done = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
-            .unwrap_or(0);
-        if cells_done >= 1 {
-            break;
-        }
+    while stored_cells(&store) < 1 {
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("explorer finished before it could be killed ({status}); cap too small");
         }
-        assert!(std::time::Instant::now() < deadline, "no checkpoint record after 120s");
+        assert!(std::time::Instant::now() < deadline, "no stored cell after 120s");
         std::thread::sleep(Duration::from_millis(5));
     }
     child.kill().expect("SIGKILL");
     child.wait().expect("reap");
     assert!(!killed.exists(), "pareto.csv must not exist after a killed run");
     assert!(!tab02_of(&killed).exists(), "tab02_explore.csv must not exist after a killed run");
-    let journal_before = std::fs::read_to_string(&ckpt).expect("journal survives the kill");
+    let stored_before = stored_cells(&store);
 
     // Resume and compare.
     let status = explore_cmd(&killed, "1").arg("--resume").status().expect("resumes");
@@ -200,11 +201,8 @@ fn sigkill_then_resume_reproduces_both_csvs_byte_for_byte() {
         ref_tab02,
         "tab02_explore.csv differs after resume"
     );
-    assert!(!ckpt.exists(), "journal should be cleaned up after the clean resume");
-    assert!(
-        journal_before.lines().count() >= 2,
-        "kill happened before any record was journaled"
-    );
+    assert!(!store.exists(), "store should be cleaned up after the clean resume");
+    assert!(stored_before >= 1, "kill happened before any cell was stored");
 
     std::fs::remove_dir_all(&dir).ok();
 }

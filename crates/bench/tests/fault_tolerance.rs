@@ -1,11 +1,11 @@
 //! End-to-end contracts of the fault-tolerant sweep engine: panic
 //! isolation, deadline + retry policy, quarantine of deterministic
-//! failures, checkpoint resume, and the headline guarantee — a sweep
+//! failures, store-backed resume, and the headline guarantee — a sweep
 //! killed with SIGKILL mid-run resumes to a **byte-identical** CSV,
 //! re-executing only the unfinished cells.
 
-use ce_bench::checkpoint::CheckpointSpec;
-use ce_bench::runner::{self, try_run_timed, RunPolicy, SweepOptions};
+use ce_bench::cli::{self, ObsFlags, SweepArgs};
+use ce_bench::runner::{self, try_run_timed, RunOptions, RunPolicy, SweepOptions};
 use ce_sim::{machine, FaultKind, FaultSpec};
 use ce_workloads::Benchmark;
 use std::path::{Path, PathBuf};
@@ -17,6 +17,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ce-ft-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
+}
+
+/// Entries in a result-store directory, without creating it.
+fn stored_cells(store: &Path) -> usize {
+    std::fs::read_dir(store).map_or(0, |dir| {
+        dir.flatten().filter(|e| e.path().extension().is_some_and(|x| x == "json")).count()
+    })
 }
 
 /// A cell that unwinds mid-simulation must come back as a classified
@@ -54,7 +61,7 @@ fn deadline_is_enforced_with_bounded_retries() {
         },
         ..SweepOptions::default()
     };
-    let summary = runner::run_sweep_ft(&jobs, 500_000, &opts).expect("no journal in play");
+    let summary = runner::run_sweep_ft(&jobs, 500_000, &opts).expect("no I/O in play");
     assert_eq!(summary.failures.len(), 1);
     let failure = &summary.failures[0];
     assert_eq!(failure.error.category(), "timeout", "{failure}");
@@ -70,7 +77,7 @@ fn deterministic_failures_are_quarantined() {
     bad.bpred.history_bits = 99; // config-invalid, deterministic
     let jobs = [(Benchmark::Compress, bad), (Benchmark::Compress, bad)];
     let summary =
-        runner::run_sweep_ft(&jobs, INSTS, &SweepOptions::default()).expect("no journal");
+        runner::run_sweep_ft(&jobs, INSTS, &SweepOptions::default()).expect("no I/O in play");
     assert_eq!(summary.failures.len(), 2);
     let by_index =
         |i: usize| summary.failures.iter().find(|f| f.index == i).expect("failure present");
@@ -79,11 +86,11 @@ fn deterministic_failures_are_quarantined() {
     assert_eq!(by_index(1).error.category(), "config-invalid");
 }
 
-/// A sweep with a failing cell keeps its journal; re-running with
+/// A sweep with a failing cell keeps its result store; re-running with
 /// `resume` replays the finished cells from disk (same stats, `resumed`
 /// counted) and re-executes only the failure.
 #[test]
-fn journal_resume_replays_finished_cells() {
+fn store_resume_replays_finished_cells() {
     let dir = temp_dir("resume");
     let out = dir.join("sweep.csv");
 
@@ -93,18 +100,25 @@ fn journal_resume_replays_finished_cells() {
     let jobs =
         [(Benchmark::Compress, good), (Benchmark::Li, good), (Benchmark::Compress, bad)];
 
-    let opts = |resume| SweepOptions {
-        checkpoint: Some(CheckpointSpec::for_output(&out, resume)),
-        ..SweepOptions::default()
+    let args = |resume| SweepArgs {
+        out: out.clone(),
+        resume,
+        obs: ObsFlags { quiet: true, ..ObsFlags::default() },
     };
-    let first = runner::run_sweep_ft(&jobs, INSTS, &opts(false)).expect("journal io");
+    let sweep =
+        |resume| args(resume).run_sweep("sweep", &jobs, INSTS, RunOptions::default()).expect("io");
+    let first = sweep(false);
     assert_eq!(first.failures.len(), 1);
     assert_eq!(first.resumed, 0);
-    let ckpt = dir.join("sweep.ckpt.jsonl");
-    assert!(ckpt.exists(), "journal must survive a failed sweep");
+    let files = [(out.as_path(), String::new())];
+    let run = RunOptions::default();
+    let code = cli::finish_sweep("sweep", &args(false), &jobs, INSTS, run, &first, &files);
+    assert_eq!(format!("{code:?}"), format!("{:?}", std::process::ExitCode::from(1)));
+    let store = cli::store_dir(&out);
+    assert_eq!(stored_cells(&store), 2, "the store must survive a failed sweep");
 
-    let second = runner::run_sweep_ft(&jobs, INSTS, &opts(true)).expect("journal io");
-    assert_eq!(second.resumed, 2, "both good cells replay from the journal");
+    let second = sweep(true);
+    assert_eq!(second.resumed, 2, "both good cells replay from the store");
     assert_eq!(second.failures.len(), 1, "the bad cell re-runs and fails again");
     for i in [0, 1] {
         assert_eq!(
@@ -142,30 +156,25 @@ fn sigkill_then_resume_reproduces_the_csv_byte_for_byte() {
     assert!(status.success());
     let reference = std::fs::read(&reference_csv).expect("reference CSV");
 
-    // Interrupted run: SIGKILL as soon as the journal holds one record
-    // but before the CSV lands.
-    let ckpt = dir.join("killed.ckpt.jsonl");
+    // Interrupted run: SIGKILL as soon as the store holds one cell but
+    // before the CSV lands.
+    let store = cli::store_dir(&killed_csv);
+    let stored = || stored_cells(&store);
     let mut child = fig13(&killed_csv).spawn().expect("fig13 spawns");
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    loop {
-        let cells_done = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
-            .unwrap_or(0);
-        if cells_done >= 1 {
-            break;
-        }
+    while stored() < 1 {
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("sweep finished before it could be killed ({status}); cap too small");
         }
-        assert!(std::time::Instant::now() < deadline, "no checkpoint record after 120s");
+        assert!(std::time::Instant::now() < deadline, "no stored cell after 120s");
         std::thread::sleep(Duration::from_millis(5));
     }
     child.kill().expect("SIGKILL");
     child.wait().expect("reap");
     assert!(!killed_csv.exists(), "CSV must not exist after a killed sweep");
-    let journal_before = std::fs::read_to_string(&ckpt).expect("journal survives the kill");
+    let stored_before = stored();
 
-    // Resume: finishes the sweep, replaying what the journal holds.
+    // Resume: finishes the sweep, replaying what the store holds.
     let status = fig13(&killed_csv).arg("--resume").status().expect("fig13 resumes");
     assert!(status.success());
     let resumed = std::fs::read(&killed_csv).expect("resumed CSV");
@@ -173,13 +182,10 @@ fn sigkill_then_resume_reproduces_the_csv_byte_for_byte() {
         resumed, reference,
         "resumed CSV differs from the uninterrupted run"
     );
-    // Sanity: the resume genuinely reused the journal rather than
-    // starting over (the journal is deleted only after a clean finish).
-    assert!(!ckpt.exists(), "journal should be cleaned up after the clean resume");
-    assert!(
-        journal_before.lines().count() >= 2,
-        "kill happened before any record was journaled"
-    );
+    // Sanity: the kill left cells to reuse, and the store is deleted
+    // only after a clean finish.
+    assert!(!store.exists(), "store should be cleaned up after the clean resume");
+    assert!(stored_before >= 1, "kill happened before any cell was stored");
 
     std::fs::remove_dir_all(&dir).ok();
 }

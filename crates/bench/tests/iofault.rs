@@ -8,13 +8,15 @@
 //! code path, assert the error surfaces *and* that the on-disk state is
 //! either untouched or recoverable — then re-run disarmed and assert
 //! convergence to the same bytes a never-faulted run produces.
+#![cfg(unix)]
 
 use std::path::PathBuf;
 
 use ce_bench::chaos::synthetic_result;
-use ce_bench::checkpoint::{classify_journal, write_atomic, CheckpointSpec, Journal, JournalClass};
 use ce_bench::iofault::{with_plan, FailPlan, FaultClass};
+use ce_bench::journal::{append_line, scan, write_atomic, JournalClass};
 use ce_bench::store::{Lookup, ResultStore};
+use ce_bench::telemetry::HealthReport;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ce-iofault-{tag}-{}", std::process::id()));
@@ -58,70 +60,66 @@ fn enospc_store_insert_fails_clean_and_retry_converges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// EIO against a checkpoint-journal append: the record call errors, but
-/// every previously recorded cell survives and a resumed journal
-/// recovers them — the restarted sweep re-simulates only the lost cell.
+/// A telemetry-journal header and one settled-cell event line.
+const HEADER: &str = "{\"ce_telemetry\": 1, \"name\": \"t\", \"cells\": 2, \"max_insts\": 9}";
+
+fn settled(cell: u64) -> String {
+    format!(
+        "{{\"t_us\": {cell}, \"ev\": \"attempt-end\", \"cell\": {cell}, \"worker\": 0, \
+         \"attempt\": 1, \"outcome\": \"ok\", \"wall_us\": 1, \"cycles\": 1, \"last\": true}}"
+    )
+}
+
+fn completed(path: &std::path::Path) -> usize {
+    HealthReport::from_journal(&std::fs::read_to_string(path).unwrap()).unwrap().completed
+}
+
+/// EIO against a journal append: the append errors, but every line
+/// already written survives for the reader, and the retried append
+/// lands cleanly after them.
 #[test]
 fn eio_journal_append_keeps_prior_records_resumable() {
     let dir = temp_dir("eio");
-    let spec = CheckpointSpec::for_output(&dir.join("sweep.csv"), true);
-    let id = 0xBEEF;
-
-    let (mut journal, recovered) = Journal::open(&spec, id, 3).unwrap();
-    assert!(recovered.iter().all(Option::is_none));
-    journal.record(0, &synthetic_result(0)).unwrap();
+    let path = dir.join("t.jsonl");
+    let mut file = std::fs::File::create(&path).unwrap();
+    append_line(&mut file, HEADER).unwrap();
+    append_line(&mut file, &settled(0)).unwrap();
 
     // Op 0 of the faulted scope is the very next append.
-    let (outcome, _) = with_plan(FailPlan::one(0, FaultClass::Eio), || {
-        journal.record(1, &synthetic_result(1))
-    });
+    let (outcome, _) =
+        with_plan(FailPlan::one(0, FaultClass::Eio), || append_line(&mut file, &settled(1)));
     assert_eq!(
         outcome.expect_err("the injected EIO must surface").raw_os_error(),
         Some(5)
     );
-    drop(journal);
+    assert_eq!(completed(&path), 1, "the line before the fault survives");
 
-    let (mut journal, recovered) = Journal::open(&spec, id, 3).unwrap();
-    assert!(recovered[0].is_some(), "cell 0 survived the faulted append");
-    assert!(recovered[1].is_none(), "the faulted cell is owed again");
-    journal.record(1, &synthetic_result(1)).unwrap();
-    journal.record(2, &synthetic_result(2)).unwrap();
-    drop(journal);
-
-    let (_, recovered) = Journal::open(&spec, id, 3).unwrap();
-    assert!(recovered.iter().all(Option::is_some), "full recovery after the retry");
+    append_line(&mut file, &settled(1)).unwrap();
+    assert_eq!(completed(&path), 2, "full recovery after the retry");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A torn write against a journal append: half the line lands on disk.
-/// The torn *final* line is the tolerated kill -9 signature — the
-/// classifier calls it torn-tail, and a resume silently drops it while
+/// The torn *final* line is the tolerated kill -9 signature — the shared
+/// scan calls it torn-tail, and the reader silently drops it while
 /// keeping every complete record.
 #[test]
 fn torn_journal_append_leaves_recoverable_torn_tail() {
     let dir = temp_dir("torn");
-    let spec = CheckpointSpec::for_output(&dir.join("sweep.csv"), true);
-    let id = 0xF00D;
-
-    let (mut journal, _) = Journal::open(&spec, id, 2).unwrap();
-    journal.record(0, &synthetic_result(0)).unwrap();
-    let (outcome, _) = with_plan(FailPlan::one(0, FaultClass::TornWrite), || {
-        journal.record(1, &synthetic_result(1))
-    });
+    let path = dir.join("t.jsonl");
+    let mut file = std::fs::File::create(&path).unwrap();
+    append_line(&mut file, HEADER).unwrap();
+    append_line(&mut file, &settled(0)).unwrap();
+    let (outcome, _) =
+        with_plan(FailPlan::one(0, FaultClass::TornWrite), || append_line(&mut file, &settled(1)));
     assert!(outcome.is_err(), "a torn write reports the short write as an error");
-    drop(journal);
+    drop(file);
 
-    let text = std::fs::read_to_string(&spec.path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
     assert!(!text.ends_with('\n'), "the torn half-line is on disk");
-    assert_eq!(classify_journal(&text), JournalClass::TornTail);
-
-    let (mut journal, recovered) = Journal::open(&spec, id, 2).unwrap();
-    assert!(recovered[0].is_some(), "the complete record survives the torn tail");
-    assert!(recovered[1].is_none(), "the torn record is dropped, not half-parsed");
-    journal.record(1, &synthetic_result(1)).unwrap();
-    drop(journal);
-    let (_, recovered) = Journal::open(&spec, id, 2).unwrap();
-    assert!(recovered.iter().all(Option::is_some));
+    let (class, _) = scan(&text, |_| Some(()), |_, _| true);
+    assert_eq!(class, JournalClass::TornTail);
+    assert_eq!(completed(&path), 1, "the complete record survives, the torn one is dropped");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -82,7 +82,7 @@ fn shutdown(socket: &Path, child: &mut Child) {
 }
 
 /// The set of cells a telemetry journal proves were *settled by
-/// simulation* in that execution (checkpoint-write events), plus its
+/// simulation* in that execution (store-write events), plus its
 /// cache-hit count. Torn tails are tolerated like every journal reader.
 fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
     let text = std::fs::read_to_string(journal)
@@ -92,7 +92,7 @@ fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
     for line in text.lines().skip(1) {
         let Ok(doc) = Json::parse(line) else { continue };
         match doc.at("ev").and_then(Json::as_str) {
-            Some("checkpoint-write") => {
+            Some("store-write") => {
                 written.insert(doc.at("cell").and_then(Json::as_u64).expect("cell"));
             }
             Some("cache-hit") => hits += 1,
@@ -100,6 +100,13 @@ fn exec_profile(journal: &Path) -> (std::collections::BTreeSet<u64>, usize) {
         }
     }
     (written, hits)
+}
+
+/// Entries in a result-store directory, without creating it.
+fn stored_cells(store: &Path) -> usize {
+    std::fs::read_dir(store).map_or(0, |dir| {
+        dir.flatten().filter(|e| e.path().extension().is_some_and(|x| x == "json")).count()
+    })
 }
 
 fn read_csv(path: &Path) -> Vec<u8> {
@@ -233,21 +240,16 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
         .spawn()
         .expect("cesimctl spawns");
 
-    // Kill as soon as the checkpoint journal holds at least one settled
-    // cell but well before all 35 are done (one worker thread).
-    let ckpt = state.join("ckpt/job-1.ckpt.jsonl");
+    // Kill as soon as the (initially empty) result store holds at least
+    // one settled cell but well before all 35 are done (one worker
+    // thread).
+    let store = state.join("store");
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let cells_done = std::fs::read_to_string(&ckpt)
-            .map(|s| s.lines().count().saturating_sub(1))
-            .unwrap_or(0);
-        if cells_done >= 1 {
-            break;
-        }
+    while stored_cells(&store) < 1 {
         if let Some(status) = d.try_wait().expect("try_wait") {
             panic!("cesimd exited before it could be killed: {status}");
         }
-        assert!(Instant::now() < deadline, "no checkpoint record after 120s");
+        assert!(Instant::now() < deadline, "no stored cell after 120s");
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
@@ -292,9 +294,9 @@ fn kill_nine_mid_job_resumes_without_duplicate_execution() {
         35,
         "executions must jointly cover all 35 cells (first {first:?}, second {second:?})"
     );
-    // Every cell the first execution settled also landed in the result
-    // store (atomic insert precedes the journal record), so the replay
-    // sees them as cache hits on top of the journal recovery.
+    // Every cell the first execution settled landed in the result store
+    // (the store-write event follows a successful insert), so the replay
+    // sees each of them as a cache hit.
     assert!(
         hits >= first.len(),
         "replay saw {hits} store hits but execution 0 settled {} cells",

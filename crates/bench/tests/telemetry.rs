@@ -215,7 +215,7 @@ fn killed_and_resumed_sweep_reports_healthy() {
 
 /// `sweephealth` exit codes: 0 healthy, 1 unhealthy (parseable journal,
 /// bad sweep), 2 torn-beyond-repair input — with torn *final* lines
-/// tolerated exactly like the checkpoint loader.
+/// tolerated under the shared torn-tail rule.
 #[test]
 fn sweephealth_exit_codes_and_torn_line_tolerance() {
     let dir = temp_dir("health");
