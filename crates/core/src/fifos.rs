@@ -283,36 +283,6 @@ impl FifoPool {
         })
     }
 
-    /// Iterates over every (fifo, instruction) pair in ascending
-    /// instruction order — a k-way merge of the per-FIFO queues. Each
-    /// queue is ascending by construction (dispatch appends in program
-    /// order; issue and squash remove without reordering), so the merge
-    /// yields exactly [`entries`](Self::entries) sorted by instruction id,
-    /// without a sort.
-    pub fn entries_aged(&self) -> impl Iterator<Item = (FifoId, InstId)> + '_ {
-        let mut pos = [0usize; 128];
-        let mut live = self.occupied;
-        std::iter::from_fn(move || {
-            let mut best: Option<(InstId, usize)> = None;
-            let mut m = live;
-            while m != 0 {
-                let f = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if pos[f] == self.queues[f].len() {
-                    live &= !(1u128 << f); // exhausted
-                    continue;
-                }
-                let id = self.queues[f][pos[f]];
-                if best.is_none_or(|(b, _)| id < b) {
-                    best = Some((id, f));
-                }
-            }
-            let (id, f) = best?;
-            pos[f] += 1;
-            Some((FifoId(f), id))
-        })
-    }
-
     /// Total instructions currently buffered.
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(self.len, self.queues.iter().map(VecDeque::len).sum::<usize>());

@@ -363,19 +363,6 @@ pub struct Simulator {
     waiters: Vec<Vec<(u64, u64)>>,
     /// Monotone dispatch counter backing `wake_token`.
     dispatch_count: u64,
-    /// Whether the issue scan may prune asleep / not-yet-ready candidates.
-    /// Off when the checker, the stall accountant, or fault injection is
-    /// active: those observe (or deliberately violate) the per-candidate
-    /// rejection sequence the pruned scan skips. Pruning never changes
-    /// which instructions issue — only how many certainly-rejected
-    /// candidates the scan touches — so timing is bit-identical either
-    /// way; the differential and golden tests pin that.
-    fast_wakeup: bool,
-    /// Whether the tag-broadcast bookkeeping is maintained at all. Only
-    /// central-window schedulers consume it (the awake-bitset scan), so
-    /// FIFO and per-cluster-window machines skip the dispatch/issue-side
-    /// bookkeeping entirely rather than pay for state they never read.
-    track_wakeup: bool,
     /// Per-phase wall-clock accumulator (`None` unless profiling was
     /// requested — the disabled-case cost is an `is_some` check per
     /// phase boundary, like the probe emptiness check).
@@ -476,11 +463,6 @@ impl Simulator {
             wake_token: vec![0; cfg.max_inflight.max(1).next_power_of_two()],
             waiters: vec![Vec::new(); cfg.physical_regs],
             dispatch_count: 0,
-            fast_wakeup: !cfg.check && !cfg.attribution && cfg.fault.is_none(),
-            track_wakeup: matches!(
-                cfg.scheduler,
-                crate::config::SchedulerKind::CentralWindow { .. }
-            ),
             profile: None,
             measure_start: u64::MAX,
             measure_end: u64::MAX,
@@ -873,9 +855,7 @@ impl Simulator {
             self.dispatch_cycle(cycle, insts, &mut frontq, &mut rob, &mut stores);
             if self.cfg.check {
                 self.check_after_dispatch(cycle, &rob);
-                if self.track_wakeup {
-                    self.check_wakeup_state(cycle, &rob);
-                }
+                self.check_wakeup_state(cycle, &rob);
                 self.check_store_tracker(cycle, &rob, &stores);
             }
             if let Some(p) = &mut self.profile {
@@ -1140,40 +1120,29 @@ impl Simulator {
         front: FrontState,
     ) {
         let wake_mark = if self.profile.is_some() { Some(Instant::now()) } else { None };
-        // The pruned scans enumerate only *awake* entries (operands all
-        // produced) — the bit the tag-broadcast bookkeeping maintains.
-        // Asleep entries would be rejected by the operand checks below, so
-        // the pruned candidate list issues identically; it just skips the
-        // certainly-fruitless probes that dominated central-window runs.
-        let fast = self.fast_wakeup && self.track_wakeup;
+        // The selection audit enumerates the waiting entries from primary
+        // state before the pass, independently of the scan below.
+        let waiting = if self.cfg.check { self.waiting_entries(rob) } else { Vec::new() };
+        // The scan yields only *awake* entries (operands all produced) —
+        // the bit the tag-broadcast bookkeeping maintains. Asleep entries
+        // would be rejected by the operand checks below in every cluster,
+        // so the pruned list issues identically. Two consumers need every
+        // visible entry instead: attribution charges a cause per rejected
+        // candidate in scan order, and the injected scheduler faults act
+        // on the first candidate, which may still be asleep.
+        let prune = !self.cfg.attribution && self.cfg.fault.is_none_or(|f| f.at_cycle != cycle);
+        let rob_base = rob.front().map(|e| e.seq).unwrap_or(0);
+        self.sched.scan(InstId(rob_base), prune, candidates);
         match self.cfg.selection {
-            crate::config::SelectionPolicy::OldestFirst => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into_aged(candidates);
-                } else {
-                    // Age order comes from the scheduler's own structures
-                    // (central age list / FIFO merge) — no per-cycle sort.
-                    self.sched.candidates_into_sorted(candidates);
-                }
-            }
+            crate::config::SelectionPolicy::OldestFirst => {}
             crate::config::SelectionPolicy::Position => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into(candidates);
-                } else {
-                    // Keep the scheduler's slot order: physical position,
-                    // not age (the HP PA-8000-style policy the paper
-                    // assumes).
-                    self.sched.candidates_into(candidates);
-                }
+                // Physical position, not age (the HP PA-8000-style policy
+                // the paper assumes): slot order for the central window,
+                // FIFO-major order for the pooled organizations.
+                let sched = &self.sched;
+                candidates.sort_unstable_by_key(|c| (sched.placement_of(c.id), c.id));
             }
-            crate::config::SelectionPolicy::YoungestFirst => {
-                if fast && self.sched.is_central() {
-                    self.sched.awake_candidates_into(candidates);
-                } else {
-                    self.sched.candidates_into(candidates);
-                }
-                candidates.sort_unstable_by_key(|c| std::cmp::Reverse(c.id));
-            }
+            crate::config::SelectionPolicy::YoungestFirst => candidates.reverse(),
         }
         let select_mark = wake_mark.map(|m| {
             let now = Instant::now();
@@ -1184,20 +1153,6 @@ impl Simulator {
         });
         let attr = self.cfg.attribution;
         rejects.clear();
-        if candidates.is_empty() {
-            self.stats.issue_histogram[0] += 1;
-            if attr {
-                // Every slot this cycle is a background loss.
-                self.stats
-                    .stall_breakdown
-                    .charge(background_cause(front), self.cfg.issue_width as u64);
-            }
-            if let (Some(m), Some(p)) = (select_mark, &mut self.profile) {
-                p.select += Instant::now() - m;
-            }
-            return;
-        }
-        let rob_base = rob.front().map(|e| e.seq).unwrap_or(0);
         let fus_per_cluster = self.cfg.fus_per_cluster();
         fu_used.iter_mut().for_each(|u| *u = 0);
         let mut ports_used = 0usize;
@@ -1229,13 +1184,11 @@ impl Simulator {
             if inject_drop || issued >= self.cfg.issue_width {
                 break;
             }
-            // Pruned scan (central windows prune in the scheduler via the
-            // awake bitset; pooled organizations prune here): a candidate
-            // with an unproduced operand, or whose best-case operand
-            // arrival is still in the future, fails the readiness checks
+            // Pruned scan: an awake candidate whose best-case operand
+            // arrival is still in the future fails the readiness checks
             // below in every cluster — skip it without probing.
             let h = (cand.id.0 & self.hot_mask) as usize;
-            if fast && (self.wake_pending[h] != 0 || self.wake_min_ready[h] > cycle) {
+            if prune && self.wake_min_ready[h] > cycle {
                 continue;
             }
             // Reject-path checks read only the 16-byte hot entry (and the
@@ -1252,8 +1205,7 @@ impl Simulator {
             // arrival time is known.
             let is_store = hot.kind == OperationKind::Store;
             let split_store = is_store && self.cfg.split_store_issue;
-            let required_srcs: &[Option<Preg>] =
-                if split_store { &hot.srcs[..1] } else { &hot.srcs[..] };
+            let required_srcs = self.required_srcs(&hot.srcs, hot.kind);
             if split_store {
                 let data_unknown = hot.srcs[1]
                     .map(|preg| self.pregs[preg as usize].ready == u64::MAX)
@@ -1417,9 +1369,7 @@ impl Simulator {
                     PregInfo { ready: cycle + latency, cluster: Some(cluster) };
                 // Tag broadcast: consumers waiting on `dest` learn its
                 // arrival time; the last outstanding operand wakes them.
-                if self.track_wakeup {
-                    self.broadcast_ready(dest);
-                }
+                self.broadcast_ready(dest);
             }
             events.push(Reverse((cycle + latency, cand.id.0)));
             if is_store {
@@ -1468,7 +1418,7 @@ impl Simulator {
         }
         if self.cfg.check {
             self.check_after_issue(
-                cycle, candidates, rob, rob_base, stores, fu_used, ports_used, issued,
+                cycle, &waiting, rob, rob_base, stores, fu_used, ports_used, issued,
             );
         }
         if let (Some(m), Some(p)) = (select_mark, &mut self.profile) {
@@ -1497,29 +1447,44 @@ impl Simulator {
         avail
     }
 
+    /// The source operands an instruction needs *ready* to issue: both,
+    /// except that a split store issues on its address alone (its data
+    /// operand only has to be known — its producer issued — which the
+    /// issue loop checks separately).
+    fn required_srcs<'a>(
+        &self,
+        srcs: &'a [Option<Preg>; 2],
+        kind: OperationKind,
+    ) -> &'a [Option<Preg>] {
+        if kind == OperationKind::Store && self.cfg.split_store_issue {
+            &srcs[..1]
+        } else {
+            &srcs[..]
+        }
+    }
+
     /// Registers a just-dispatched instruction with the tag-broadcast
-    /// bookkeeping: counts unproduced operands (and enlists on their
-    /// producers' waiter lists), folds already-known operands into the
-    /// best-case readiness bound, and wakes the entry immediately when
+    /// bookkeeping: counts its unproduced required operands (and enlists
+    /// on their producers' waiter lists), folds already-known ones into
+    /// the best-case readiness bound, and wakes the entry immediately when
     /// nothing is outstanding.
+    ///
+    /// A split store's data operand stays out of the bookkeeping: its
+    /// producer may issue earlier in the very pass that scans the store,
+    /// so waiting on it would prune a store the unpruned scan issues.
     fn register_wakeup(&mut self, seq: u64, srcs: [Option<Preg>; 2], kind: OperationKind) {
         let h = (seq & self.hot_mask) as usize;
         self.dispatch_count += 1;
         let token = self.dispatch_count;
         self.wake_token[h] = token;
-        let split_store = kind == OperationKind::Store && self.cfg.split_store_issue;
         let mut pending = 0u8;
         let mut bound = 0u64;
-        for (i, &src) in srcs.iter().enumerate() {
-            let Some(p) = src else { continue };
+        for &p in self.required_srcs(&srcs, kind).iter().flatten() {
             let info = self.pregs[p as usize];
             if info.ready == u64::MAX {
                 pending += 1;
                 self.waiters[p as usize].push((seq, token));
-            } else if !(split_store && i == 1) {
-                // A split store's data operand only needs a *known*
-                // arrival, not a ready value — it never constrains the
-                // earliest issue cycle, so it stays out of the bound.
+            } else {
                 bound = bound.max(self.best_case_avail(info));
             }
         }
@@ -1549,15 +1514,8 @@ impl Simulator {
             if self.wake_token[h] != token {
                 continue;
             }
-            let hot = self.hot[h];
-            let split_store =
-                hot.kind == OperationKind::Store && self.cfg.split_store_issue;
-            let data_only =
-                split_store && hot.srcs[1] == Some(p) && hot.srcs[0] != Some(p);
-            if !data_only {
-                let b = &mut self.wake_min_ready[h];
-                *b = (*b).max(contribution);
-            }
+            let b = &mut self.wake_min_ready[h];
+            *b = (*b).max(contribution);
             let left = self.wake_pending[h].saturating_sub(1);
             self.wake_pending[h] = left;
             if left == 0 {
@@ -1577,16 +1535,13 @@ impl Simulator {
     fn check_wakeup_state(&mut self, cycle: u64, rob: &VecDeque<Entry>) {
         for e in rob.iter().filter(|e| e.issued_at.is_none()) {
             let h = (e.seq & self.hot_mask) as usize;
-            let split_store = e.d.inst.opcode.kind() == OperationKind::Store
-                && self.cfg.split_store_issue;
             let mut pending = 0u8;
             let mut bound = 0u64;
-            for (i, &src) in e.srcs.iter().enumerate() {
-                let Some(p) = src else { continue };
+            for &p in self.required_srcs(&e.srcs, e.d.inst.opcode.kind()).iter().flatten() {
                 let info = self.pregs[p as usize];
                 if info.ready == u64::MAX {
                     pending += 1;
-                } else if !(split_store && i == 1) {
+                } else {
                     bound = bound.max(self.best_case_avail(info));
                 }
             }
@@ -1698,9 +1653,7 @@ impl Simulator {
             );
         }
         // Operands-ready-at-issue, re-derived from the ROB operand fields.
-        let split_store = kind == OperationKind::Store && self.cfg.split_store_issue;
-        let required: &[Option<Preg>] = if split_store { &e.srcs[..1] } else { &e.srcs[..] };
-        for &p in required.iter().flatten() {
+        for &p in self.required_srcs(&e.srcs, kind).iter().flatten() {
             let at = self.avail_in(p, cluster);
             if at > cycle {
                 self.check.violation(
@@ -1751,14 +1704,37 @@ impl Simulator {
         }
     }
 
+    /// Every entry select may consider this cycle, read from primary state
+    /// rather than the scheduler's scan: the unissued ROB entries, or for
+    /// the head-only organization the heads of the pool queues. Taken
+    /// before the issue pass, because an issue can expose a new FIFO head
+    /// that select never saw this cycle.
+    fn waiting_entries(&self, rob: &VecDeque<Entry>) -> Vec<Candidate> {
+        match self.sched.pool() {
+            Some(pool) if self.sched.head_only() => (0..pool.config().fifos)
+                .map(FifoId)
+                .filter_map(|f| {
+                    pool.head(f).map(|id| Candidate { id, cluster: Some(pool.cluster_of(f)) })
+                })
+                .collect(),
+            _ => rob
+                .iter()
+                .filter(|e| e.issued_at.is_none())
+                .map(|e| Candidate { id: InstId(e.seq), cluster: e.cluster })
+                .collect(),
+        }
+    }
+
     /// Post-pass invariants: issue caps recounted from the ROB, and the
-    /// selection audit — no issuable candidate may be left waiting while
-    /// issue width went unused.
+    /// selection audit — no waiting entry may be left issuable while issue
+    /// width went unused. `waiting` comes from
+    /// [`waiting_entries`](Self::waiting_entries), so an entry the pruned
+    /// scan wrongly dropped is audited all the same.
     #[allow(clippy::too_many_arguments)]
     fn check_after_issue(
         &mut self,
         cycle: u64,
-        candidates: &[Candidate],
+        waiting: &[Candidate],
         rob: &VecDeque<Entry>,
         rob_base: u64,
         stores: &StoreTracker,
@@ -1824,7 +1800,7 @@ impl Simulator {
         // a leftover candidate feasible against the *final* state was
         // feasible when scanned, so skipping it broke the policy.
         if total < self.cfg.issue_width {
-            for &cand in candidates {
+            for &cand in waiting {
                 let e = &rob[(cand.id.0 - rob_base) as usize];
                 if e.issued_at.is_some() {
                     continue; // issued this pass
@@ -1873,7 +1849,7 @@ impl Simulator {
         let e = &rob[(cand.id.0 - rob_base) as usize];
         let kind = e.d.inst.opcode.kind();
         let split_store = kind == OperationKind::Store && self.cfg.split_store_issue;
-        let required: &[Option<Preg>] = if split_store { &e.srcs[..1] } else { &e.srcs[..] };
+        let required = self.required_srcs(&e.srcs, kind);
         if split_store {
             let data_unknown = e.srcs[1]
                 .map(|preg| self.pregs[preg as usize].ready == u64::MAX)
@@ -2003,7 +1979,7 @@ impl Simulator {
             }
             // Steer/insert before renaming so a scheduler stall leaves the
             // rename state untouched.
-            let placement = match self.sched.try_insert_explained(InstId(d.seq), &d.inst) {
+            let placement = match self.sched.try_insert(InstId(d.seq), &d.inst) {
                 Ok(p) => p,
                 Err(reject) => {
                     self.stats.scheduler_stalls += 1;
@@ -2048,9 +2024,7 @@ impl Simulator {
             stores.on_dispatch(d);
             self.hot[(d.seq & self.hot_mask) as usize] =
                 HotEntry { srcs, kind: d.inst.opcode.kind(), mem_addr: d.mem_addr };
-            if self.track_wakeup {
-                self.register_wakeup(d.seq, srcs, d.inst.opcode.kind());
-            }
+            self.register_wakeup(d.seq, srcs, d.inst.opcode.kind());
             rob.push_back(Entry {
                 seq: d.seq,
                 d: *d,

@@ -56,7 +56,6 @@ pub enum InsertReject {
 #[derive(Debug)]
 pub struct Scheduler {
     kind: SchedulerKind,
-    clusters: usize,
     /// Pool backing the FIFO-shaped organizations (`None` for the central
     /// window).
     pool: Option<FifoPool>,
@@ -64,42 +63,44 @@ pub struct Scheduler {
     random: Option<RandomSteerer>,
     round_robin: Option<RoundRobinSteerer>,
     load_balanced: Option<LoadBalancedSteerer>,
-    /// Dense placement ring keyed by `seq & place_mask`: the window slot
-    /// (central) or FIFO index (pooled) holding each resident instruction.
-    /// Sound because resident sequence numbers are ROB-contiguous, so any
-    /// two differ by less than the ring size (a power of two ≥
-    /// `max_inflight`) — no hash lookups on the issue path.
-    place: Vec<Option<u32>>,
+    /// Dense placement ring keyed by `seq & place_mask`: each resident
+    /// instruction's id and the window slot (central) or FIFO index
+    /// (pooled) holding it. Sound because resident sequence numbers are
+    /// ROB-contiguous, so any two differ by less than the ring size (a
+    /// power of two ≥ `max_inflight`) — no hash lookups on the issue
+    /// path. The stored id tells a resident instruction from a stale or
+    /// aliased one (same ring index, different sequence number).
+    place: Vec<Option<(InstId, u32)>>,
     place_mask: u64,
+    /// Bit `i` set iff ring slot `i` holds a resident instruction select
+    /// can see: every resident instruction, except that the head-only
+    /// FIFO organization marks only FIFO heads (the rest of a FIFO is
+    /// invisible to select until it reaches the head).
+    visible: Vec<u64>,
+    /// Bit `i` set iff ring slot `i` holds a resident instruction whose
+    /// required source operands have all been produced (the tag-match
+    /// result of the paper's wakeup broadcast, cached as a bit per entry).
+    /// Maintained by the pipeline via [`set_awake`](Self::set_awake);
+    /// cleared whenever a ring slot is filled or vacated.
+    awake: Vec<u64>,
     /// Central-window slots: new instructions take the lowest free slot, so
-    /// slot order models physical window position (no compaction).
-    window: Vec<Option<InstId>>,
-    /// Bit `s` set iff `window[s]` is occupied; bits at or beyond
-    /// `central_capacity` are permanently set so the free-slot probe never
-    /// strays past the capacity.
+    /// slot order models physical window position (no compaction). Bit `s`
+    /// set iff slot `s` is occupied; bits at or beyond `central_capacity`
+    /// are permanently set so the free-slot probe never strays past the
+    /// capacity.
     occ_words: Vec<u64>,
     central_capacity: usize,
-    /// Central-window population (pooled occupancy lives in the pool).
-    central_len: usize,
-    /// Intrusive doubly-linked list over occupied central slots in *age*
-    /// order (oldest first). Dispatch order is monotone in sequence
-    /// number, so appending at the tail keeps the list id-sorted — oldest-
-    /// first selection walks it instead of sorting every cycle.
-    age_next: Vec<u32>,
-    age_prev: Vec<u32>,
-    age_head: u32,
-    age_tail: u32,
-    /// Bit `s` set iff `window[s]` holds an instruction whose source
-    /// operands have all been produced (the tag-match result of the
-    /// paper's wakeup broadcast, cached as a bit per slot). Maintained by
-    /// the pipeline via [`set_awake`](Self::set_awake); cleared when a slot
-    /// is recycled. Pad bits stay clear, so `occ & awake` is exactly the
-    /// set of occupied, woken slots. Central window only.
-    awake_words: Vec<u64>,
 }
 
-/// Sentinel for the age-list links.
-const AGE_NONE: u32 = u32::MAX;
+/// Sets or clears bit `i` of a word-packed bitset.
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    let (w, m) = (i / 64, 1u64 << (i % 64));
+    if on {
+        words[w] |= m;
+    } else {
+        words[w] &= !m;
+    }
+}
 
 impl Scheduler {
     /// Builds the scheduler for a machine configuration. `max_inflight` is
@@ -145,20 +146,14 @@ impl Scheduler {
         let load_balanced = matches!(steering, SteeringPolicy::LoadBalanced)
             .then(LoadBalancedSteerer::new);
         let ring = max_inflight.max(1).next_power_of_two();
-        let words = central_capacity.div_ceil(64).max(1);
-        let mut occ_words = vec![0u64; words];
+        let mut occ_words = vec![0u64; central_capacity.div_ceil(64).max(1)];
         // Pad bits past the capacity read as "occupied" so the lowest-free
         // probe never hands out a slot beyond the window.
-        for (w, word) in occ_words.iter_mut().enumerate() {
-            for bit in 0..64 {
-                if w * 64 + bit >= central_capacity {
-                    *word |= 1u64 << bit;
-                }
-            }
+        for pad in central_capacity..occ_words.len() * 64 {
+            set_bit(&mut occ_words, pad, true);
         }
         Scheduler {
             kind,
-            clusters,
             pool,
             dependence: DependenceSteerer::new(),
             random,
@@ -166,21 +161,11 @@ impl Scheduler {
             load_balanced,
             place: vec![None; ring],
             place_mask: ring as u64 - 1,
-            window: vec![None; central_capacity],
+            visible: vec![0u64; ring.div_ceil(64)],
+            awake: vec![0u64; ring.div_ceil(64)],
             occ_words,
             central_capacity,
-            central_len: 0,
-            age_next: vec![AGE_NONE; central_capacity],
-            age_prev: vec![AGE_NONE; central_capacity],
-            age_head: AGE_NONE,
-            age_tail: AGE_NONE,
-            awake_words: vec![0u64; words],
         }
-    }
-
-    /// Whether this is the central-window organization (no FIFO pool).
-    pub fn is_central(&self) -> bool {
-        self.pool.is_none()
     }
 
     /// Whether only FIFO heads may issue.
@@ -188,234 +173,138 @@ impl Scheduler {
         matches!(self.kind, SchedulerKind::Fifos { .. })
     }
 
-    /// Inserts an instruction at dispatch. Returns its bound cluster
-    /// (`None` for the central window), or `Err(())` when the structure
-    /// has no suitable slot and dispatch must stall.
-    #[allow(clippy::result_unit_err)]
-    pub fn try_insert(&mut self, id: InstId, inst: &Instruction) -> Result<Option<usize>, ()> {
-        self.try_insert_explained(id, inst).map(|p| p.cluster).map_err(|_| ())
+    /// The placement-ring index of an instruction.
+    fn ring(&self, id: InstId) -> usize {
+        (id.0 & self.place_mask) as usize
     }
 
-    /// [`try_insert`](Self::try_insert), explained: on success reports the
-    /// slot/FIFO taken and how steering chose it; on failure reports why.
-    /// Placement behaviour is identical to `try_insert`.
-    pub fn try_insert_explained(
-        &mut self,
-        id: InstId,
-        inst: &Instruction,
-    ) -> Result<Placement, InsertReject> {
-        match &mut self.pool {
-            None => {
-                // Lowest free slot, found by bitmask probe (same placement a
-                // first-`None` linear scan produced).
-                let word = match self.occ_words.iter().position(|&w| w != u64::MAX) {
-                    Some(w) => w,
-                    None => return Err(InsertReject::WindowFull),
-                };
-                let slot = word * 64 + (!self.occ_words[word]).trailing_zeros() as usize;
-                debug_assert!(slot < self.central_capacity);
-                debug_assert!(self.window[slot].is_none());
-                self.occ_words[word] |= 1u64 << (slot % 64);
-                self.awake_words[word] &= !(1u64 << (slot % 64));
-                self.window[slot] = Some(id);
-                self.place[(id.0 & self.place_mask) as usize] = Some(slot as u32);
-                self.central_len += 1;
-                // Append at the age-list tail: a dispatching instruction is
-                // always the youngest resident.
-                let s = slot as u32;
-                self.age_prev[slot] = self.age_tail;
-                self.age_next[slot] = AGE_NONE;
-                match self.age_tail {
-                    AGE_NONE => self.age_head = s,
-                    t => self.age_next[t as usize] = s,
-                }
-                self.age_tail = s;
-                Ok(Placement { cluster: None, slot: s, steer: None })
+    /// Inserts an instruction at dispatch. On success reports its bound
+    /// cluster (`None` for the central window), the slot/FIFO taken and
+    /// how steering chose it; on failure — the structure has no suitable
+    /// slot and dispatch must stall — reports why.
+    pub fn try_insert(&mut self, id: InstId, inst: &Instruction) -> Result<Placement, InsertReject> {
+        let Some(pool) = &mut self.pool else {
+            // Lowest free slot, found by bitmask probe (same placement a
+            // first-`None` linear scan produced).
+            let word = match self.occ_words.iter().position(|&w| w != u64::MAX) {
+                Some(w) => w,
+                None => return Err(InsertReject::WindowFull),
+            };
+            let slot = word * 64 + (!self.occ_words[word]).trailing_zeros() as usize;
+            debug_assert!(slot < self.central_capacity);
+            self.occ_words[word] |= 1u64 << (slot % 64);
+            self.enter(id, slot as u32, true);
+            return Ok(Placement { cluster: None, slot: slot as u32, steer: None });
+        };
+        let (outcome, explain) = if let Some(r) = &mut self.random {
+            (r.steer(id, pool), None)
+        } else if let Some(r) = &mut self.round_robin {
+            (r.steer(id, pool), None)
+        } else if let Some(l) = &mut self.load_balanced {
+            (l.steer(id, inst, pool), None)
+        } else {
+            let (o, e) = self.dependence.steer_explained(id, inst, pool);
+            (o, Some(e))
+        };
+        let fifo = match outcome {
+            SteerOutcome::Fifo(fifo) => fifo,
+            SteerOutcome::Stall => {
+                let chain_full =
+                    matches!(explain, Some(SteerExplain::Stalled { chain_full: true }));
+                return Err(InsertReject::Steering { chain_full });
             }
-            Some(pool) => {
-                let (outcome, explain) = if let Some(r) = &mut self.random {
-                    (r.steer(id, pool), None)
-                } else if let Some(r) = &mut self.round_robin {
-                    (r.steer(id, pool), None)
-                } else if let Some(l) = &mut self.load_balanced {
-                    (l.steer(id, inst, pool), None)
-                } else {
-                    let (o, e) = self.dependence.steer_explained(id, inst, pool);
-                    (o, Some(e))
-                };
-                match outcome {
-                    SteerOutcome::Fifo(fifo) => {
-                        self.place[(id.0 & self.place_mask) as usize] = Some(fifo.0 as u32);
-                        let choice = match explain {
-                            Some(SteerExplain::Placed(c)) => c,
-                            // The non-dependence steerers don't explain
-                            // themselves; label by policy.
-                            _ if self.random.is_some() => SteerChoice::Random,
-                            _ if self.round_robin.is_some() => SteerChoice::RoundRobin,
-                            _ => SteerChoice::Balanced,
-                        };
-                        Ok(Placement {
-                            cluster: Some(pool.cluster_of(fifo)),
-                            slot: fifo.0 as u32,
-                            steer: Some(choice),
-                        })
-                    }
-                    SteerOutcome::Stall => {
-                        let chain_full = matches!(
-                            explain,
-                            Some(SteerExplain::Stalled { chain_full: true })
-                        );
-                        Err(InsertReject::Steering { chain_full })
-                    }
-                }
-            }
-        }
+        };
+        let cluster = pool.cluster_of(fifo);
+        let is_head = pool.head(fifo) == Some(id);
+        let choice = match explain {
+            Some(SteerExplain::Placed(c)) => c,
+            // The non-dependence steerers don't explain themselves; label
+            // by policy.
+            _ if self.random.is_some() => SteerChoice::Random,
+            _ if self.round_robin.is_some() => SteerChoice::RoundRobin,
+            _ => SteerChoice::Balanced,
+        };
+        self.enter(id, fifo.0 as u32, is_head || !self.head_only());
+        Ok(Placement { cluster: Some(cluster), slot: fifo.0 as u32, steer: Some(choice) })
     }
 
-    /// Appends the instructions eligible for selection this cycle to `out`
-    /// (cleared first) — central window in slot order, FIFO organizations
-    /// in ascending FIFO order. The pipeline reuses one buffer across
-    /// cycles; the order matches what the old per-cycle allocation
-    /// produced.
-    pub fn candidates_into(&self, out: &mut Vec<Candidate>) {
+    /// Records a newly placed instruction in the ring: asleep, and visible
+    /// to select unless it queues behind a FIFO head.
+    fn enter(&mut self, id: InstId, at: u32, visible: bool) {
+        let i = self.ring(id);
+        self.place[i] = Some((id, at));
+        set_bit(&mut self.visible, i, visible);
+        set_bit(&mut self.awake, i, false);
+    }
+
+    /// Clears an instruction's ring slot, returning where it was placed;
+    /// `None` (and nothing cleared) if `id` is not the resident instruction
+    /// at its ring index.
+    fn leave(&mut self, id: InstId) -> Option<u32> {
+        let at = self.placement_of(id)?;
+        let i = self.ring(id);
+        set_bit(&mut self.visible, i, false);
+        set_bit(&mut self.awake, i, false);
+        self.place[i] = None;
+        Some(at)
+    }
+
+    /// The one candidate enumerator: appends this cycle's issue candidates
+    /// to `out` (cleared first) in **age order**, oldest first.
+    ///
+    /// `oldest` is the ROB head's sequence number. Every resident
+    /// instruction lies less than one ring length after it, so walking the
+    /// `visible` bits from its ring index — one word at a time, with
+    /// `trailing_zeros` touching only set bits — yields ascending ids for
+    /// every organization, without a sort or a merge. Head-only FIFOs
+    /// yield only their heads.
+    ///
+    /// With `awake_only`, asleep entries are skipped: they would fail the
+    /// pipeline's operand checks in every cluster, so pruning them is
+    /// selection-invisible. Without it, every visible entry is yielded.
+    pub fn scan(&self, oldest: InstId, awake_only: bool, out: &mut Vec<Candidate>) {
         out.clear();
-        match &self.pool {
-            None => {
-                for (w, &word) in self.occ_words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let slot = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if slot >= self.central_capacity {
-                            break; // pad bits, not real slots
-                        }
-                        let id = self.window[slot].expect("occupied bit ⇒ filled slot");
-                        out.push(Candidate { id, cluster: None });
-                    }
-                }
+        let words = self.visible.len();
+        let start = self.ring(oldest);
+        let (w0, b0) = (start / 64, start % 64);
+        // Words from the start word round the ring and back to it: its
+        // bits at or above `b0` come first, the ones below `b0` last.
+        for k in 0..=words {
+            let w = (w0 + k) % words;
+            let mut bits = self.visible[w];
+            if awake_only {
+                bits &= self.awake[w];
             }
-            Some(pool) => {
-                if self.head_only() {
-                    out.extend(
-                        pool.heads()
-                            .map(|(f, id)| Candidate { id, cluster: Some(pool.cluster_of(f)) }),
-                    );
-                } else {
-                    out.extend(pool.entries().map(|(f, _, id)| Candidate {
-                        id,
-                        cluster: Some(pool.cluster_of(f)),
-                    }));
-                }
+            if k == 0 {
+                bits &= u64::MAX << b0;
+            } else if k == words {
+                bits &= !(u64::MAX << b0);
             }
-        }
-    }
-
-    /// Appends the central window's candidates to `out` (cleared first) in
-    /// **age order** — identical to sorting [`candidates_into`]'s output by
-    /// id, without the per-cycle sort.
-    ///
-    /// [`candidates_into`]: Self::candidates_into
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if called on a FIFO organization; callers
-    /// gate on [`is_central`](Self::is_central).
-    pub fn candidates_into_aged(&self, out: &mut Vec<Candidate>) {
-        debug_assert!(self.is_central());
-        out.clear();
-        let mut s = self.age_head;
-        while s != AGE_NONE {
-            let id = self.window[s as usize].expect("linked slot is filled");
-            out.push(Candidate { id, cluster: None });
-            s = self.age_next[s as usize];
-        }
-    }
-
-    /// Appends this cycle's candidates to `out` (cleared first) in
-    /// ascending instruction order — the oldest-first selection order —
-    /// without a per-cycle sort wherever the organization permits:
-    /// central windows walk the intrusive age list, pooled windows k-way
-    /// merge their (individually ascending) per-FIFO queues, and the
-    /// head-only FIFO organizations sort their handful of heads.
-    pub fn candidates_into_sorted(&self, out: &mut Vec<Candidate>) {
-        match &self.pool {
-            None => self.candidates_into_aged(out),
-            Some(pool) => {
-                out.clear();
-                if self.head_only() {
-                    out.extend(
-                        pool.heads()
-                            .map(|(f, id)| Candidate { id, cluster: Some(pool.cluster_of(f)) }),
-                    );
-                    out.sort_unstable_by_key(|c| c.id);
-                } else {
-                    out.extend(pool.entries_aged().map(|(f, id)| Candidate {
-                        id,
-                        cluster: Some(pool.cluster_of(f)),
-                    }));
-                }
-            }
-        }
-    }
-
-    /// Marks a resident central-window instruction as awake: every source
-    /// operand has been produced, so it is a real wakeup/select candidate.
-    /// The pipeline calls this from its tag-broadcast bookkeeping (at
-    /// dispatch when no operand is outstanding, and when the last
-    /// outstanding producer issues). No-op for pooled organizations and
-    /// for ids that are not (or are no longer) resident — a broadcast can
-    /// race an early-selected or squashed consumer under fault injection.
-    pub fn set_awake(&mut self, id: InstId) {
-        if self.pool.is_some() {
-            return;
-        }
-        if let Some(slot) = self.place[(id.0 & self.place_mask) as usize] {
-            self.awake_words[slot as usize / 64] |= 1u64 << (slot % 64);
-        }
-    }
-
-    /// Appends the occupied **and awake** central-window slots to `out`
-    /// (cleared first) in slot order — one `occ & awake` word scan with
-    /// `trailing_zeros`, touching only set bits. Subset of
-    /// [`candidates_into`](Self::candidates_into) restricted to awake
-    /// entries; asleep entries could never pass the pipeline's operand
-    /// checks, so pruning them here is selection-invisible.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if called on a FIFO organization.
-    pub fn awake_candidates_into(&self, out: &mut Vec<Candidate>) {
-        debug_assert!(self.is_central());
-        out.clear();
-        for (w, (&occ, &awake)) in self.occ_words.iter().zip(&self.awake_words).enumerate() {
-            let mut bits = occ & awake;
             while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
+                let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let id = self.window[slot].expect("awake∧occupied bit ⇒ filled slot");
-                out.push(Candidate { id, cluster: None });
+                let id = InstId(oldest.0 + (i.wrapping_sub(start) as u64 & self.place_mask));
+                debug_assert_eq!(self.place[i].map(|(resident, _)| resident), Some(id));
+                let cluster = self.pool.as_ref().map(|p| {
+                    p.cluster_of(FifoId(self.place[i].expect("visible slot is placed").1 as usize))
+                });
+                out.push(Candidate { id, cluster });
             }
         }
     }
 
-    /// [`awake_candidates_into`](Self::awake_candidates_into) in **age
-    /// order**: the bitset scan plus a sort of the (few) awake entries.
-    /// Resident ids are ROB-contiguous and dispatch appends in sequence
-    /// order, so ascending id *is* age order — this matches
-    /// [`candidates_into_aged`](Self::candidates_into_aged) filtered to
-    /// awake entries (the property pinned by the randomized scan-order
-    /// test).
-    pub fn awake_candidates_into_aged(&self, out: &mut Vec<Candidate>) {
-        self.awake_candidates_into(out);
-        out.sort_unstable_by_key(|c| c.id);
-    }
-
-    /// The instructions eligible for selection this cycle (allocating
-    /// convenience over [`candidates_into`](Self::candidates_into)).
-    pub fn candidates(&self) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        self.candidates_into(&mut out);
-        out
+    /// Marks a resident instruction as awake: every required source operand
+    /// has been produced, so it is a real wakeup/select candidate. The
+    /// pipeline calls this from its tag-broadcast bookkeeping (at dispatch
+    /// when no operand is outstanding, and when the last outstanding
+    /// producer issues). No-op for ids that are not (or are no longer)
+    /// resident — a broadcast can race an early-selected or squashed
+    /// consumer under fault injection.
+    pub fn set_awake(&mut self, id: InstId) {
+        if self.placement_of(id).is_some() {
+            let i = self.ring(id);
+            set_bit(&mut self.awake, i, true);
+        }
     }
 
     /// Removes an instruction at issue.
@@ -425,28 +314,11 @@ impl Scheduler {
     /// Panics if the instruction is not present (a pipeline bug).
     pub fn remove(&mut self, id: InstId) {
         let head_only = self.head_only();
-        let placed = self.place[(id.0 & self.place_mask) as usize].take();
+        let placed = self.leave(id);
         match &mut self.pool {
             None => {
-                let slot =
-                    placed.expect("issued instruction must be in the window") as usize;
-                assert_eq!(
-                    self.window[slot].take(),
-                    Some(id),
-                    "issued instruction must be in the window"
-                );
-                self.occ_words[slot / 64] &= !(1u64 << (slot % 64));
-                self.awake_words[slot / 64] &= !(1u64 << (slot % 64));
-                self.central_len -= 1;
-                let (p, n) = (self.age_prev[slot], self.age_next[slot]);
-                match p {
-                    AGE_NONE => self.age_head = n,
-                    p => self.age_next[p as usize] = n,
-                }
-                match n {
-                    AGE_NONE => self.age_tail = p,
-                    n => self.age_prev[n as usize] = p,
-                }
+                let slot = placed.expect("issued instruction must be in the window");
+                set_bit(&mut self.occ_words, slot as usize, false);
             }
             Some(pool) => {
                 let fifo = FifoId(placed.expect("issued instruction placed") as usize);
@@ -461,6 +333,7 @@ impl Scheduler {
                 // keeping them lets later dependents inherit the producer's
                 // cluster (FIFO→cluster is static), and the steerer already
                 // validates staleness against the pool contents.
+                self.expose_head(fifo);
             }
         }
     }
@@ -482,10 +355,23 @@ impl Scheduler {
             self.remove(id);
             return;
         }
-        let placed = self.place[(id.0 & self.place_mask) as usize].take();
+        let placed = self.leave(id);
         let fifo = FifoId(placed.expect("squashed instruction must be placed") as usize);
         let pool = self.pool.as_mut().expect("checked");
         assert!(pool.remove(fifo, id), "squashed instruction must be in its FIFO");
+        self.expose_head(fifo);
+    }
+
+    /// Head-only FIFOs: after `fifo` lost an entry, its head (possibly a
+    /// new one) is visible to select.
+    fn expose_head(&mut self, fifo: FifoId) {
+        if !self.head_only() {
+            return;
+        }
+        if let Some(head) = self.pool.as_ref().and_then(|p| p.head(fifo)) {
+            let i = self.ring(head);
+            set_bit(&mut self.visible, i, true);
+        }
     }
 
     /// The FIFO pool backing a pooled organization (`None` for the
@@ -494,12 +380,14 @@ impl Scheduler {
         self.pool.as_ref()
     }
 
-    /// Where a *resident* instruction sits: the central-window slot index,
-    /// or the FIFO index for pooled organizations. Only meaningful for
-    /// instructions currently in the scheduler (the placement ring slot is
-    /// recycled once an instruction leaves).
+    /// Where a resident instruction sits: the central-window slot index,
+    /// or the FIFO index for pooled organizations; `None` if `id` is not
+    /// in the scheduler.
     pub fn placement_of(&self, id: InstId) -> Option<u32> {
-        self.place[(id.0 & self.place_mask) as usize]
+        match self.place[self.ring(id)] {
+            Some((resident, at)) if resident == id => Some(at),
+            _ => None,
+        }
     }
 
     /// Total scheduler capacity (window slots, or FIFOs × depth).
@@ -513,14 +401,10 @@ impl Scheduler {
     /// Instructions currently waiting.
     pub fn occupancy(&self) -> usize {
         match &self.pool {
-            None => self.central_len,
+            // Every central-window resident is visible.
+            None => self.visible.iter().map(|w| w.count_ones() as usize).sum(),
             Some(pool) => pool.occupancy(),
         }
-    }
-
-    /// Number of clusters.
-    pub fn clusters(&self) -> usize {
-        self.clusters
     }
 }
 
@@ -531,6 +415,13 @@ mod tests {
 
     fn alu(dst: u8, a: u8, b: u8) -> Instruction {
         Instruction::rrr(Opcode::Addu, Reg::new(dst), Reg::new(a), Reg::new(b))
+    }
+
+    /// Every visible entry, scanned from id 0 (the tests' oldest id).
+    fn visible(s: &Scheduler) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        s.scan(InstId(0), false, &mut out);
+        out
     }
 
     #[test]
@@ -561,12 +452,12 @@ mod tests {
         s.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
         s.try_insert(InstId(1), &alu(11, 10, 2)).unwrap();
         s.try_insert(InstId(2), &alu(12, 11, 2)).unwrap();
-        let cands = s.candidates();
+        let cands = visible(&s);
         assert_eq!(cands.len(), 1, "only the head is visible");
         assert_eq!(cands[0].id, InstId(0));
         assert!(s.head_only());
         s.remove(InstId(0));
-        assert_eq!(s.candidates()[0].id, InstId(1));
+        assert_eq!(visible(&s)[0].id, InstId(1));
     }
 
     #[test]
@@ -579,11 +470,11 @@ mod tests {
         );
         s.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
         s.try_insert(InstId(1), &alu(11, 10, 2)).unwrap();
-        assert_eq!(s.candidates().len(), 2, "flexible window sees all entries");
+        assert_eq!(visible(&s).len(), 2, "flexible window sees all entries");
         assert!(!s.head_only());
         // Out-of-order removal works (issue from the middle of a chain).
         s.remove(InstId(1));
-        assert_eq!(s.candidates().len(), 1);
+        assert_eq!(visible(&s).len(), 1);
     }
 
     #[test]
@@ -599,7 +490,7 @@ mod tests {
             s.try_insert(InstId(i), &alu(10 + i as u8, 1, 2)).unwrap();
         }
         let mut clusters: Vec<usize> =
-            s.candidates().iter().filter_map(|c| c.cluster).collect();
+            visible(&s).iter().filter_map(|c| c.cluster).collect();
         clusters.sort_unstable();
         assert_eq!(clusters, vec![0, 0, 1, 1]);
     }
@@ -639,7 +530,7 @@ mod tests {
         s.remove_squashed(InstId(2));
         s.remove_squashed(InstId(1));
         assert_eq!(s.occupancy(), 1);
-        let cands = s.candidates();
+        let cands = visible(&s);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].id, InstId(0), "the surviving head is untouched");
         // The survivor still issues normally.
@@ -664,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_explained_reports_placement_and_rejection() {
+    fn try_insert_reports_placement_and_rejection() {
         // Central window: slots fill lowest-first, reject is WindowFull.
         let mut s = Scheduler::new(
             SchedulerKind::CentralWindow { size: 2 },
@@ -672,12 +563,12 @@ mod tests {
             SteeringPolicy::Dependence,
             128,
         );
-        let p0 = s.try_insert_explained(InstId(0), &alu(10, 1, 2)).unwrap();
+        let p0 = s.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
         assert_eq!(p0, Placement { cluster: None, slot: 0, steer: None });
-        let p1 = s.try_insert_explained(InstId(1), &alu(11, 1, 2)).unwrap();
+        let p1 = s.try_insert(InstId(1), &alu(11, 1, 2)).unwrap();
         assert_eq!(p1.slot, 1);
         assert_eq!(
-            s.try_insert_explained(InstId(2), &alu(12, 1, 2)),
+            s.try_insert(InstId(2), &alu(12, 1, 2)),
             Err(InsertReject::WindowFull)
         );
 
@@ -688,15 +579,15 @@ mod tests {
             SteeringPolicy::Dependence,
             128,
         );
-        let q0 = f.try_insert_explained(InstId(0), &alu(10, 1, 2)).unwrap();
+        let q0 = f.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
         assert_eq!(q0.cluster, Some(0));
         assert_eq!(q0.steer, Some(SteerChoice::Fresh));
-        let q1 = f.try_insert_explained(InstId(1), &alu(11, 10, 2)).unwrap();
+        let q1 = f.try_insert(InstId(1), &alu(11, 10, 2)).unwrap();
         assert_eq!(q1.slot, q0.slot, "chained into the producer's FIFO");
         assert_eq!(q1.steer, Some(SteerChoice::Chained { operand: 0 }));
         // FIFO full behind a chain target: Steering { chain_full: true }.
         assert_eq!(
-            f.try_insert_explained(InstId(2), &alu(12, 11, 2)),
+            f.try_insert(InstId(2), &alu(12, 11, 2)),
             Err(InsertReject::Steering { chain_full: true })
         );
 
@@ -707,51 +598,17 @@ mod tests {
             SteeringPolicy::RoundRobin,
             128,
         );
-        let w = r.try_insert_explained(InstId(0), &alu(10, 1, 2)).unwrap();
+        let w = r.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
         assert_eq!(w.steer, Some(SteerChoice::RoundRobin));
     }
 
+    /// Property: on random insert / issue / squash / wake histories, for
+    /// every scheduler kind, both scan masks equal a naive reference —
+    /// the resident ids read from the test's own log (central) or the
+    /// pool queues (pooled), heads only for head-only FIFOs, filtered to
+    /// awake ones for the pruned mask, sorted by id.
     #[test]
-    fn try_insert_and_explained_agree() {
-        let mk = || {
-            Scheduler::new(
-                SchedulerKind::Fifos { fifos_per_cluster: 2, depth: 2 },
-                2,
-                SteeringPolicy::Dependence,
-                128,
-            )
-        };
-        let (mut a, mut b) = (mk(), mk());
-        let stream = [
-            alu(10, 1, 2),
-            alu(11, 10, 2),
-            alu(12, 3, 4),
-            alu(13, 12, 11),
-            alu(14, 5, 6),
-            alu(15, 7, 8),
-            alu(16, 14, 15),
-            alu(17, 9, 9),
-            alu(18, 17, 16),
-            alu(19, 2, 3),
-        ];
-        for (i, inst) in stream.iter().enumerate() {
-            let id = InstId(i as u64);
-            let plain = a.try_insert(id, inst);
-            let explained = b.try_insert_explained(id, inst);
-            assert_eq!(plain.is_ok(), explained.is_ok(), "inst {i}");
-            if let (Ok(c), Ok(p)) = (plain, explained) {
-                assert_eq!(c, p.cluster, "inst {i}");
-            }
-        }
-    }
-
-    /// Property: on randomized windows (random insert/remove/wake
-    /// histories, with fragmentation so slot order ≠ age order), the
-    /// bitset-scanned awake candidates match the age-list walk filtered to
-    /// awake entries, and the slot-order variant matches `candidates_into`
-    /// filtered the same way.
-    #[test]
-    fn awake_bitset_scan_matches_age_list_on_random_windows() {
+    fn scan_matches_naive_reference_on_random_histories() {
         let mut rng: u64 = 0x5eed_cafe_f00d_0001;
         let mut next = move || {
             // xorshift64* — deterministic, no external crates.
@@ -760,26 +617,34 @@ mod tests {
             rng ^= rng << 17;
             rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
         };
-        for trial in 0..200 {
+        for trial in 0..300u64 {
             let size = 1 + (next() % 100) as usize; // spans multiple words
+            let kind = match trial % 3 {
+                0 => SchedulerKind::CentralWindow { size },
+                1 => SchedulerKind::SteeredWindows {
+                    fifos_per_cluster: 1 + size % 4,
+                    fifo_depth: 1 + size % 8,
+                },
+                _ => SchedulerKind::Fifos { fifos_per_cluster: 1 + size % 4, depth: 1 + size % 8 },
+            };
+            let clusters = 1 + (next() % 2) as usize;
             // Ring sized past the whole trial: the random removal order
             // lets resident ids spread wider than a real pipeline's
-            // in-flight limit would allow.
-            let mut s = Scheduler::new(
-                SchedulerKind::CentralWindow { size },
-                1,
-                SteeringPolicy::Dependence,
-                512,
-            );
+            // in-flight limit would allow. Trials start at varying ring
+            // indices, so some scans wrap past the end of the ring.
+            let mut s = Scheduler::new(kind, clusters, SteeringPolicy::Dependence, 512);
             let mut seq = trial * 10_000; // distinct ids per trial
             let mut resident: Vec<InstId> = Vec::new();
             let mut awake: Vec<InstId> = Vec::new();
             for _ in 0..300 {
-                match next() % 4 {
-                    // Dispatch (ids ascend, like real sequence numbers).
+                match next() % 5 {
+                    // Dispatch (ids ascend, like real sequence numbers);
+                    // random registers make dependence chains.
                     0 | 1 => {
                         let id = InstId(seq);
-                        if s.try_insert(id, &alu(10, 1, 2)).is_ok() {
+                        let r = |x: u64| 8 + (x % 8) as u8;
+                        let inst = alu(r(next()), r(next()), r(next()));
+                        if s.try_insert(id, &inst).is_ok() {
                             seq += 1;
                             resident.push(id);
                             if next() % 2 == 0 {
@@ -788,44 +653,56 @@ mod tests {
                             }
                         }
                     }
-                    // Issue an arbitrary resident (fragments the window).
+                    // Issue: any resident, or a FIFO head when head-only
+                    // (fragments the window and the FIFOs).
                     2 => {
-                        if !resident.is_empty() {
-                            let victim = resident.remove((next() % resident.len() as u64) as usize);
+                        let issuable: Vec<InstId> = match s.pool() {
+                            Some(pool) if s.head_only() => pool.heads().map(|(_, id)| id).collect(),
+                            _ => resident.clone(),
+                        };
+                        if !issuable.is_empty() {
+                            let victim = issuable[(next() % issuable.len() as u64) as usize];
+                            resident.retain(|&id| id != victim);
                             awake.retain(|&id| id != victim);
                             s.remove(victim);
                         }
                     }
+                    // Squash an arbitrary resident, from any queue position.
+                    3 => {
+                        if !resident.is_empty() {
+                            let victim = resident.remove((next() % resident.len() as u64) as usize);
+                            awake.retain(|&id| id != victim);
+                            s.remove_squashed(victim);
+                        }
+                    }
                     // Wake a sleeping resident.
                     _ => {
-                        if let Some(&id) =
-                            resident.iter().find(|id| !awake.contains(id))
-                        {
+                        let asleep: Vec<InstId> =
+                            resident.iter().copied().filter(|id| !awake.contains(id)).collect();
+                        if !asleep.is_empty() {
+                            let id = asleep[(next() % asleep.len() as u64) as usize];
                             s.set_awake(id);
                             awake.push(id);
                         }
                     }
                 }
-                // Slot order: candidates_into filtered to the awake set.
-                let mut all = Vec::new();
-                s.candidates_into(&mut all);
-                let expect_slot: Vec<Candidate> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| awake.contains(&c.id))
-                    .collect();
+                let oldest = resident.iter().min().copied().unwrap_or(InstId(seq));
+                // The naive reference.
+                let mut expect: Vec<Candidate> = match s.pool() {
+                    None => resident.iter().map(|&id| Candidate { id, cluster: None }).collect(),
+                    Some(pool) => pool
+                        .entries()
+                        .filter(|&(_, pos, _)| pos == 0 || !s.head_only())
+                        .map(|(f, _, id)| Candidate { id, cluster: Some(pool.cluster_of(f)) })
+                        .collect(),
+                };
+                expect.sort_unstable_by_key(|c| c.id);
                 let mut got = Vec::new();
-                s.awake_candidates_into(&mut got);
-                assert_eq!(got, expect_slot, "trial {trial}: slot-order scan");
-                // Age order: candidates_into_aged filtered to the awake set.
-                s.candidates_into_aged(&mut all);
-                let expect_aged: Vec<Candidate> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| awake.contains(&c.id))
-                    .collect();
-                s.awake_candidates_into_aged(&mut got);
-                assert_eq!(got, expect_aged, "trial {trial}: age-order scan");
+                s.scan(oldest, false, &mut got);
+                assert_eq!(got, expect, "trial {trial} ({kind:?}): every visible entry");
+                expect.retain(|c| awake.contains(&c.id));
+                s.scan(oldest, true, &mut got);
+                assert_eq!(got, expect, "trial {trial} ({kind:?}): awake entries");
             }
         }
     }
@@ -839,7 +716,12 @@ mod tests {
             128,
         );
         pooled.try_insert(InstId(0), &alu(10, 1, 2)).unwrap();
-        pooled.set_awake(InstId(0)); // no-op, must not panic
+        let mut out = Vec::new();
+        pooled.scan(InstId(0), true, &mut out);
+        assert!(out.is_empty(), "a fresh entry is asleep");
+        pooled.set_awake(InstId(0));
+        pooled.scan(InstId(0), true, &mut out);
+        assert_eq!(out, vec![Candidate { id: InstId(0), cluster: Some(0) }]);
         let mut central = Scheduler::new(
             SchedulerKind::CentralWindow { size: 4 },
             1,
@@ -847,9 +729,15 @@ mod tests {
             128,
         );
         central.set_awake(InstId(7)); // absent id: no-op
-        let mut out = Vec::new();
-        central.awake_candidates_into(&mut out);
+        central.scan(InstId(0), true, &mut out);
         assert!(out.is_empty());
+        central.try_insert(InstId(7), &alu(10, 1, 2)).unwrap();
+        central.scan(InstId(0), true, &mut out);
+        assert!(out.is_empty(), "a stale wake does not carry over to a new entry");
+        central.set_awake(InstId(7 + 128)); // same ring index, not resident
+        central.scan(InstId(0), true, &mut out);
+        assert!(out.is_empty(), "an aliased wake leaves the resident asleep");
+        assert_eq!(central.placement_of(InstId(7 + 128)), None);
     }
 
     #[test]
@@ -861,6 +749,8 @@ mod tests {
             SteeringPolicy::Dependence,
             128,
         );
+        // Id 42 shares resident 170's ring index but is not it.
+        s.try_insert(InstId(170), &alu(10, 1, 2)).unwrap();
         s.remove(InstId(42));
     }
 }

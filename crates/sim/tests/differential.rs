@@ -56,6 +56,22 @@ fn all_organizations_match_oracle_on_all_kernels() {
     }
 }
 
+/// The unchecked path must match the oracle as well as the checked one.
+/// Split stores on the central window pin the pruned scan's one
+/// same-pass dependence: a store's data producer can issue earlier in the
+/// select pass that scans the store, so waiting on it would prune a store
+/// the oracle issues.
+#[test]
+fn unchecked_split_store_runs_match_oracle() {
+    let cfg = SimConfig { split_store_issue: true, ..machine::baseline_8way() };
+    for bench in Benchmark::all() {
+        let trace = trace_cached(bench, 5_000).expect("kernel runs");
+        let production = Simulator::new(cfg).run(&trace).fingerprint();
+        let oracle = OracleSimulator::new(cfg).run(&trace).fingerprint();
+        assert_eq!(production, oracle, "baseline+split_store x {bench}");
+    }
+}
+
 /// Synthetic-trace mixes chosen to stress distinct mechanisms: the default
 /// SPEC-ish mix, a memory-heavy small-working-set mix (store-to-load
 /// forwarding and cache misses), an unpredictable-branch mix (squash
@@ -98,11 +114,13 @@ proptest! {
     /// Random synthetic traces across the non-default configuration knobs:
     /// split store issue, selection policies, disambiguation rules, bypass
     /// and latency models, pipelined wakeup/select, wrong-path modeling,
-    /// fetch breaks, and the alternative steering policies.
+    /// fetch breaks, the alternative steering policies, and the
+    /// position / youngest-first orders on the pooled organizations too
+    /// (the scheduler derives them from one age-ordered scan).
     #[test]
     fn config_knobs_match_oracle_on_synthetic_traces(
         seed in 0u64..1_000_000,
-        knob in 0usize..12,
+        knob in 0usize..15,
     ) {
         use ce_sim::{BypassModel, LatencyModel, SteeringPolicy};
         let (label, cfg) = match knob {
@@ -130,6 +148,14 @@ proptest! {
             10 => ("windows+round_robin+fetch_breaks", SimConfig {
                 steering: SteeringPolicy::RoundRobin,
                 fetch_breaks_on_taken: true,
+                ..machine::clustered_windows_dispatch_8way() }),
+            11 => ("fifos+position_select", SimConfig {
+                selection: SelectionPolicy::Position, ..machine::dependence_8way() }),
+            12 => ("windows+position_select", SimConfig {
+                selection: SelectionPolicy::Position,
+                ..machine::clustered_windows_dispatch_8way() }),
+            13 => ("windows+youngest_first", SimConfig {
+                selection: SelectionPolicy::YoungestFirst,
                 ..machine::clustered_windows_dispatch_8way() }),
             _ => ("clustered_fifos+load_balanced+perfect_bpred", {
                 let mut c = machine::clustered_fifos_8way();
