@@ -9,31 +9,37 @@
 //! 1. **trace fingerprint** per benchmark — a hash of the serialized
 //!    dynamic trace ([`ce_workloads::trace_io::format_trace`]'s exact
 //!    text) at the sweep's instruction cap, so any change to a kernel,
-//!    the emulator, or the cap changes the key;
+//!    the emulator, or the cap changes the key. The text is streamed
+//!    into the hash by [`write_trace`], never materialized, and a job's
+//!    traces are fingerprinted in parallel (`fingerprint_traces`);
 //! 2. **config fingerprint** per machine — a hash of the full
 //!    [`SimConfig`] debug form (every field participates, the same
 //!    convention the [`sweep_id`] uses);
 //! 3. **code version** — `CARGO_PKG_VERSION`, overridable with the
 //!    `CE_CODE_VERSION` environment variable so CI can pin a git SHA.
 //!
-//! This is the exact key the planned `cesimd` result cache (ROADMAP
-//! item 1) will look up: same key → the cached cells are valid; any
-//! perturbation of trace, config, or code produces a different key and
-//! forces a re-run. `tests/telemetry.rs` pins both directions.
+//! The per-cell form of this key ([`cell_key_with`]) is what the result
+//! store, and so `cesimd`, looks cells up by: same key → the cached cell
+//! is valid; any perturbation of trace, config, or code produces a
+//! different key and forces a re-run. `tests/telemetry.rs` pins both
+//! directions, and this module's tests pin the digests themselves, so a
+//! serializer or `Debug` change that would silently re-key every stored
+//! cell fails a test.
 //!
 //! Manifests are validated in CI by the `manifest_check` binary against
 //! the committed `results/manifest.schema.json` (the same
 //! required-paths schema style as `results/metrics.schema.json`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use ce_sim::SimConfig;
-use ce_workloads::{trace_cached, trace_io::format_trace, Benchmark};
+use ce_workloads::{trace_cached, trace_io::write_trace, Benchmark};
 
 use crate::journal::write_atomic;
-use crate::runner::{Job, RunOptions, SweepSummary};
+use crate::runner::{threads, Job, RunOptions, SweepSummary};
 
 /// Schema tag of every manifest document this module writes.
 pub const MANIFEST_SCHEMA: &str = "ce-bench.manifest.v1";
@@ -91,25 +97,68 @@ pub fn code_version() -> String {
     std::env::var("CE_CODE_VERSION").unwrap_or_else(|_| env!("CARGO_PKG_VERSION").to_owned())
 }
 
+/// Fingerprints already computed in this process, per `(benchmark, cap)`.
+/// In memory only: a memo persisted across restarts would keep serving a
+/// key after an emulator edit under an unchanged code version.
+fn trace_memo() -> MutexGuard<'static, BTreeMap<(Benchmark, u64), String>> {
+    static MEMO: Mutex<BTreeMap<(Benchmark, u64), String>> = Mutex::new(BTreeMap::new());
+    MEMO.lock().expect("trace fingerprint memo poisoned")
+}
+
 /// Fingerprint of one benchmark's dynamic trace at an instruction cap:
-/// FNV-1a over the exact serialized trace text. Memoized process-wide per
-/// `(benchmark, cap)` — the text of a full-length trace is tens of MB and
-/// every manifest of a sweep asks for the same seven.
+/// FNV-1a over the exact serialized trace text. The text is streamed
+/// through [`write_trace`] into the hash, never materialized, so the
+/// digest is [`format_trace`](ce_workloads::trace_io::format_trace)'s by
+/// construction. Memoized process-wide per `(benchmark, cap)`; the memo
+/// lock is not held while the trace is generated and hashed, so
+/// `fingerprint_traces` can fingerprint several kernels at once.
 ///
 /// # Errors
 ///
 /// The trace generator's error, verbatim, if the kernel fails to trace.
 pub fn trace_fingerprint(bench: Benchmark, max_insts: u64) -> Result<String, String> {
-    static MEMO: Mutex<Option<HashMap<(Benchmark, u64), String>>> = Mutex::new(None);
-    let mut memo = MEMO.lock().expect("trace fingerprint memo poisoned");
-    let memo = memo.get_or_insert_with(HashMap::new);
-    if let Some(hit) = memo.get(&(bench, max_insts)) {
+    if let Some(hit) = trace_memo().get(&(bench, max_insts)) {
         return Ok(hit.clone());
     }
     let trace = trace_cached(bench, max_insts).map_err(|e| e.to_string())?;
-    let fp = fnv_hex(&format_trace(&trace));
-    memo.insert((bench, max_insts), fp.clone());
+    let mut h = Fnv64::default();
+    write_trace(&trace, &mut h).expect("hashing cannot fail");
+    let fp = h.hex();
+    trace_memo().insert((bench, max_insts), fp.clone());
     Ok(fp)
+}
+
+/// Fingerprints the traces `jobs` read at `max_insts` that are not yet
+/// memoized, on up to [`threads`] scoped workers, so keying a job's cells
+/// on a fresh process costs its slowest kernel rather than all of them.
+/// Spawns no thread when fewer than two traces (or one worker) remain.
+/// Failures are not memoized: the caller's own [`trace_fingerprint`]
+/// call retries and reports them.
+pub(crate) fn fingerprint_traces(jobs: &[Job], max_insts: u64) {
+    let mut todo: Vec<Benchmark> = Vec::new();
+    {
+        let memo = trace_memo();
+        for (bench, _) in jobs {
+            if !todo.contains(bench) && !memo.contains_key(&(*bench, max_insts)) {
+                todo.push(*bench);
+            }
+        }
+    }
+    let workers = threads().min(todo.len());
+    if workers < 2 {
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(&b) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    // An error is retried and reported by the caller.
+                    let _ = trace_fingerprint(b, max_insts);
+                }
+            });
+        }
+    });
 }
 
 /// Fingerprint of one machine configuration: FNV-1a over the full
@@ -414,6 +463,65 @@ mod tests {
         assert_eq!(a.len(), 16);
         assert_ne!(a, trace_fingerprint(Benchmark::Compress, 3_000).unwrap());
         assert_ne!(a, trace_fingerprint(Benchmark::Li, 2_000).unwrap());
+    }
+
+    /// The trace fingerprint is FNV-1a of `format_trace`'s exact bytes,
+    /// for every kernel at two caps.
+    #[test]
+    fn trace_fingerprints_hash_the_formatted_text() {
+        use ce_workloads::trace_io::format_trace;
+        for cap in [1_500, 4_000] {
+            for bench in Benchmark::all() {
+                let text = format_trace(&trace_cached(bench, cap).unwrap());
+                assert_eq!(
+                    trace_fingerprint(bench, cap).unwrap(),
+                    fnv_hex(&text),
+                    "{} at cap {cap}",
+                    bench.name()
+                );
+            }
+        }
+    }
+
+    /// Digests recorded before the trace text was streamed into the hash.
+    /// Every stored cell is keyed on these: a serializer or `Debug` change
+    /// that moves one re-keys the whole store, and must fail here first.
+    #[test]
+    fn key_digests_are_pinned() {
+        assert_eq!(trace_fingerprint(Benchmark::Compress, 2_000).unwrap(), "3936bf6217bf2d09");
+        assert_eq!(trace_fingerprint(Benchmark::Li, 2_000).unwrap(), "2a80f1499bf47922");
+        let pinned = [
+            ("window", "4c1ce620060f0d74"),
+            ("fifos", "6da19098add458f2"),
+            ("clustered-fifos", "1070f03e7a25a707"),
+            ("clustered-windows", "504a784128a4d412"),
+            ("exec-steer", "4816102ce47d2d1d"),
+            ("random", "271de1d6c30e7ad3"),
+        ];
+        assert_eq!(pinned.map(|(name, _)| name), machine::MACHINE_NAMES);
+        for (name, digest) in pinned {
+            let cfg = machine::by_name(name).unwrap();
+            assert_eq!(config_fingerprint(&cfg), digest, "{name}");
+        }
+    }
+
+    /// After a parallel prefetch with two or more workers, every kernel's
+    /// fingerprint is memoized and equals a fresh serial computation.
+    #[test]
+    fn fingerprint_traces_fills_the_memo() {
+        let cap = 1_234;
+        fingerprint_traces(&Benchmark::all().map(|b| (b, machine::baseline_8way())), cap);
+        for bench in Benchmark::all() {
+            let memoized = trace_memo().get(&(bench, cap)).cloned();
+            match memoized {
+                Some(fp) => {
+                    let mut h = Fnv64::default();
+                    write_trace(&trace_cached(bench, cap).unwrap(), &mut h).unwrap();
+                    assert_eq!(fp, h.hex(), "{}", bench.name());
+                }
+                None => assert_eq!(threads(), 1, "{} was not prefetched", bench.name()),
+            }
+        }
     }
 
     #[test]

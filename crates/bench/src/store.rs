@@ -38,7 +38,7 @@ use ce_sim::{SampledStats, SimStats, StallCause};
 
 use crate::journal::write_atomic;
 use crate::json::{self, Json};
-use crate::manifest::cell_key_with;
+use crate::manifest::{cell_key_with, fingerprint_traces};
 use crate::runner::{CellHook, Job, RunOptions, TimedResult};
 use crate::telemetry::{Event, Telemetry, TelemetrySink as _};
 
@@ -153,7 +153,8 @@ impl ResultStore {
         self.len() == 0
     }
 
-    /// Backs a sweep with this store: keys every cell under `code`,
+    /// Backs a sweep with this store: keys every cell under `code`
+    /// (fingerprinting the job's unmemoized traces in parallel first),
     /// serves the hits as the sweep's prefill, and wraps `then` in a hook
     /// that first inserts each freshly simulated cell. A successful
     /// insert is announced as [`Event::StoreWrite`] — the event means the
@@ -173,6 +174,7 @@ impl ResultStore {
         tel: &Telemetry,
         then: CellHook,
     ) -> Result<BackedSweep, String> {
+        fingerprint_traces(jobs, max_insts);
         let mut keys = Vec::with_capacity(jobs.len());
         let mut prefill = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {

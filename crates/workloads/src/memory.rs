@@ -1,15 +1,44 @@
 //! Sparse byte-addressed memory for the functional emulator.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Hashes a page number with one multiply by the 64-bit golden ratio,
+/// folding the well-mixed high half into the low bits the table indexes
+/// by (the text, data and stack pages share their low bits). Page numbers
+/// come from the emulated program's own address arithmetic, so a program
+/// that crafts colliding pages only slows its own emulation; SipHash's
+/// collision resistance would cost a large share of every load and store.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A sparse 32-bit byte-addressable memory.
 ///
 /// Pages are allocated on first touch and zero-filled, so programs may read
 /// uninitialized memory (it reads as zero, as under SimpleScalar). Accesses
-/// may be unaligned; multi-byte values are little-endian.
+/// may be unaligned; multi-byte values are little-endian. A halfword or
+/// word that lies inside one page costs one page lookup; one that
+/// straddles a page boundary (or wraps past the top of the address
+/// space) is assembled byte by byte.
 ///
 /// ```
 /// use ce_workloads::Memory;
@@ -21,7 +50,12 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Offset of `addr` within its page.
+fn page_offset(addr: u32) -> usize {
+    (addr as usize) & (PAGE_SIZE - 1)
 }
 
 impl Memory {
@@ -35,50 +69,67 @@ impl Memory {
         self.pages.len()
     }
 
+    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// The `N` bytes from `addr` on, wrapping past the top of the address
+    /// space: one page lookup when they lie inside one page.
+    fn read_bytes<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let off = page_offset(addr);
+        if off + N > PAGE_SIZE {
+            return std::array::from_fn(|i| self.read_byte(addr.wrapping_add(i as u32)));
+        }
+        match self.pages.get(&(addr >> PAGE_SHIFT)) {
+            Some(page) => page[off..off + N].try_into().expect("a slice of N bytes"),
+            None => [0; N],
+        }
+    }
+
+    /// Writes `bytes` from `addr` on, wrapping past the top of the address
+    /// space: one page lookup when they lie inside one page.
+    fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let off = page_offset(addr);
+        if off + N > PAGE_SIZE {
+            for (i, b) in bytes.into_iter().enumerate() {
+                self.write_byte(addr.wrapping_add(i as u32), b);
+            }
+        } else {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
+        }
+    }
+
     /// Reads one byte.
     pub fn read_byte(&self, addr: u32) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr as usize) & (PAGE_SIZE - 1)],
+            Some(page) => page[page_offset(addr)],
             None => 0,
         }
     }
 
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[page_offset(addr)] = value;
     }
 
     /// Reads a little-endian halfword (may be unaligned).
     pub fn read_half(&self, addr: u32) -> u16 {
-        u16::from_le_bytes([self.read_byte(addr), self.read_byte(addr.wrapping_add(1))])
+        u16::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian halfword (may be unaligned).
     pub fn write_half(&mut self, addr: u32, value: u16) {
-        let [a, b] = value.to_le_bytes();
-        self.write_byte(addr, a);
-        self.write_byte(addr.wrapping_add(1), b);
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian word (may be unaligned).
     pub fn read_word(&self, addr: u32) -> u32 {
-        u32::from_le_bytes([
-            self.read_byte(addr),
-            self.read_byte(addr.wrapping_add(1)),
-            self.read_byte(addr.wrapping_add(2)),
-            self.read_byte(addr.wrapping_add(3)),
-        ])
+        u32::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian word (may be unaligned).
     pub fn write_word(&mut self, addr: u32, value: u32) {
-        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-            self.write_byte(addr.wrapping_add(i as u32), byte);
-        }
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Copies a byte slice into memory starting at `addr`.

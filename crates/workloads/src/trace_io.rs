@@ -64,21 +64,66 @@ impl Default for ParseLimits {
 /// Serializes a trace to the text format.
 pub fn format_trace(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 32);
-    out.push_str(&format!("ce-trace v1 completed={}\n", trace.is_completed()));
-    for d in trace {
-        out.push_str(&format!(
-            "{:x} {:x} {:x} {}",
-            d.pc,
-            encode(&d.inst),
-            d.next_pc,
-            u8::from(d.taken)
-        ));
-        if let Some(addr) = d.mem_addr {
-            out.push_str(&format!(" {addr:x}"));
-        }
-        out.push('\n');
-    }
+    write_trace(trace, &mut out).expect("writing to a String cannot fail");
     out
+}
+
+/// Serializes a trace to the text format into any [`fmt::Write`] sink —
+/// the one serializer behind [`format_trace`]. A hashing sink digests
+/// exactly [`format_trace`]'s bytes without the text ever being built.
+///
+/// # Errors
+///
+/// Only the sink's own error.
+pub fn write_trace<W: fmt::Write>(trace: &Trace, out: &mut W) -> fmt::Result {
+    out.write_str(if trace.is_completed() {
+        "ce-trace v1 completed=true\n"
+    } else {
+        "ce-trace v1 completed=false\n"
+    })?;
+    for d in trace {
+        let mut line = Line { buf: [0; 38], len: 0 };
+        line.hex(d.pc);
+        line.push(b' ');
+        line.hex(encode(&d.inst));
+        line.push(b' ');
+        line.hex(d.next_pc);
+        line.push(b' ');
+        line.push(b'0' + u8::from(d.taken));
+        if let Some(addr) = d.mem_addr {
+            line.push(b' ');
+            line.hex(addr);
+        }
+        line.push(b'\n');
+        out.write_str(line.as_str())?;
+    }
+    Ok(())
+}
+
+/// One serialized trace line: four hex fields of at most 8 digits, the
+/// taken flag, four separators and the newline fit in 38 bytes.
+struct Line {
+    buf: [u8; 38],
+    len: usize,
+}
+
+impl Line {
+    fn push(&mut self, byte: u8) {
+        self.buf[self.len] = byte;
+        self.len += 1;
+    }
+
+    /// Lowercase hex without leading zeros — `{:x}`'s exact output.
+    fn hex(&mut self, v: u32) {
+        let digits = (32 - (v | 1).leading_zeros()).div_ceil(4);
+        for i in (0..digits).rev() {
+            self.push(b"0123456789abcdef"[(v >> (4 * i)) as usize & 0xf]);
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("trace lines are ASCII")
+    }
 }
 
 /// Parses the text format back into a [`Trace`], under the default

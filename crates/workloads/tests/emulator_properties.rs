@@ -4,8 +4,9 @@
 use ce_isa::asm::assemble;
 use ce_isa::Reg;
 use ce_workloads::synthetic::{generate, SyntheticConfig};
-use ce_workloads::Emulator;
+use ce_workloads::{Emulator, Memory};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Interpret a tiny op list both in Rust and in the emulator and compare.
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +78,51 @@ proptest! {
         let mut emu = Emulator::new(&program);
         emu.run_to_completion(100).expect("halts");
         prop_assert_eq!(emu.reg(Reg::new(9)), value);
+    }
+
+    /// Halfword and word accesses agree with a byte-at-a-time reference
+    /// model, including accesses that straddle a page boundary and ones
+    /// that wrap past the top of the address space. Addresses cluster a
+    /// few bytes around page edges (edge 0 minus a few bytes wraps) so
+    /// reads overlap earlier writes; one in six is anywhere at all.
+    #[test]
+    fn memory_matches_bytewise_reference(
+        ops in proptest::collection::vec(
+            (0u8..6, 0usize..6, -6i32..6, any::<u32>(), any::<u32>()),
+            1..80,
+        )
+    ) {
+        const EDGES: [u32; 5] = [0, 0x1000, 0x1000_2000, 0x7fff_f000, 0xffff_f000];
+        let mut mem = Memory::new();
+        let mut model: HashMap<u32, u8> = HashMap::new();
+        for (kind, edge, delta, anywhere, value) in ops {
+            let addr = match EDGES.get(edge) {
+                Some(base) => base.wrapping_add_signed(delta),
+                None => anywhere,
+            };
+            let width = [1u32, 2, 4][usize::from(kind % 3)];
+            let at = |i: u32| addr.wrapping_add(i);
+            if kind < 3 {
+                for i in 0..width {
+                    model.insert(at(i), (value >> (8 * i)) as u8);
+                }
+                match width {
+                    1 => mem.write_byte(addr, value as u8),
+                    2 => mem.write_half(addr, value as u16),
+                    _ => mem.write_word(addr, value),
+                }
+            } else {
+                let expected = (0..width).fold(0u32, |acc, i| {
+                    acc | u32::from(model.get(&at(i)).copied().unwrap_or(0)) << (8 * i)
+                });
+                let got = match width {
+                    1 => u32::from(mem.read_byte(addr)),
+                    2 => u32::from(mem.read_half(addr)),
+                    _ => mem.read_word(addr),
+                };
+                prop_assert_eq!(got, expected, "{width}-byte read at {addr:#x}");
+            }
+        }
     }
 
     /// Synthetic traces always have dense sequence numbers, consistent
